@@ -16,7 +16,6 @@ from .barrier import (
 )
 from .gammas import (
     GammaSequences,
-    GammaStep,
     advance_gamma2,
     build_sequences,
     gamma2_initial,

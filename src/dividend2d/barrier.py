@@ -70,14 +70,6 @@ def _check_domain(u: Reserves, barrier: BarrierSpec, params: ModelParams) -> Non
         raise AnalyticDomainError(f"series converges only for u2 <= b ({u.u2} > {barrier.b})")
 
 
-def _series_terms(
-    u: Reserves, seqs: GammaSequences, alpha: float, primed: bool
-) -> np.ndarray:
-    g1, g2, g3, ds = seqs.arrays(primed)
-    rho = (g3 + g2 + alpha) / (g1 + g2 + alpha)
-    return ds * (np.exp(g1 * u.u1) - rho * np.exp(g3 * u.u1)) * np.exp(g2 * (u.u2 - seqs.b))
-
-
 def v1_barrier(
     u: Reserves,
     barrier: BarrierSpec,
@@ -98,8 +90,14 @@ def v1_barrier(
     _check_domain(u, barrier, params)
     alpha = require_exponential(params.claims).rate
     seqs = sequences if sequences is not None else sequences_for(barrier, params)
-    t_base = _series_terms(u, seqs, alpha, primed=False)
-    t_primed = seqs.E * _series_terms(u, seqs, alpha, primed=True)
+    g1, g2, g3 = seqs.g1, seqs.g2, seqs.g3
+    rho = (g3 + g2 + alpha) / (g1 + g2 + alpha)
+    terms = (
+        seqs.D_scaled
+        * (np.exp(g1 * u.u1) - rho * np.exp(g3 * u.u1))
+        * np.exp(g2 * (u.u2 - seqs.b))
+    )
+    t_base, t_primed = terms[0], seqs.E * terms[1]
     value = float(np.sum(t_base) + np.sum(t_primed))
 
     combined = np.abs(t_base) + np.abs(t_primed)

@@ -34,30 +34,28 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class GammaStep:
-    """One exponent triple with its coefficient and root discriminants.
+#: per-step fields of both families, in the order of the ``GammaSequences`` arrays
+_FIELDS = ("g1", "g2", "g3", "D", "D_scaled", "disc_g1", "disc_g2")
 
-    ``D_scaled = D * exp(g2 * b)`` is the representation actually used in
-    series sums; ``D`` itself may underflow to 0 at large k (kept for
-    diagnostics only).
+
+@dataclass(frozen=True, eq=False)
+class GammaSequences:
+    """Both triple families, the matching constant E, and the slopes.
+
+    Each per-step field is a read-only ``(2, terms)`` array: row 0 holds
+    the family seeded at the barrier slope ``a``, row 1 the primed family
+    seeded at ``a_prime``.  ``D_scaled = D * exp(g2 * b)`` is the
+    representation used in series sums; ``D`` itself may underflow to 0
+    at large k (kept for diagnostics only).
     """
 
-    g1: float
-    g2: float
-    g3: float
-    D: float
-    disc_g2: float
-    disc_g1: float
-    D_scaled: float
-
-
-@dataclass(frozen=True)
-class GammaSequences:
-    """Both triple families, the matching constant E, and the slopes."""
-
-    steps: tuple[GammaStep, ...]
-    primed_steps: tuple[GammaStep, ...]
+    g1: np.ndarray
+    g2: np.ndarray
+    g3: np.ndarray
+    D: np.ndarray
+    D_scaled: np.ndarray
+    disc_g1: np.ndarray
+    disc_g2: np.ndarray
     E: float
     a_prime: float
     a: float
@@ -65,18 +63,29 @@ class GammaSequences:
     tail_ratio: float  # achieved relative size of the last E-sum terms
 
     @property
+    def steps(self) -> np.recarray:
+        """Base-family steps as read-only records (``steps[k].g2``)."""
+        return self._records(0)
+
+    @property
+    def primed_steps(self) -> np.recarray:
+        """Primed-family steps as read-only records."""
+        return self._records(1)
+
+    def _records(self, row: int) -> np.recarray:
+        rec = np.rec.fromarrays([getattr(self, f)[row] for f in _FIELDS], names=_FIELDS)
+        rec.flags.writeable = False
+        return rec
+
+    @property
     def key(self) -> str:
         """Identifier for valuations produced from these sequences."""
-        return f"gamma[a={self.a!r},b={self.b!r},terms={len(self.steps)}]"
+        return f"gamma[a={self.a!r},b={self.b!r},terms={self.g2.shape[1]}]"
 
     def arrays(self, primed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(g1, g2, g3, D_scaled) as vectors for one family."""
-        steps = self.primed_steps if primed else self.steps
-        g1 = np.array([s.g1 for s in steps])
-        g2 = np.array([s.g2 for s in steps])
-        g3 = np.array([s.g3 for s in steps])
-        ds = np.array([s.D_scaled for s in steps])
-        return g1, g2, g3, ds
+        """(g1, g2, g3, D_scaled) of one family, as views of the stored rows."""
+        r = int(primed)
+        return self.g1[r], self.g2[r], self.g3[r], self.D_scaled[r]
 
 
 def _quadratic_roots(A: float, B: float, C: float) -> tuple[float, float, float]:
@@ -111,8 +120,8 @@ def sqeq_residual(g: float, g2: float, params: ModelParams) -> float:
     return abs(A * g * g + B * g + C) / max(scale, 1e-300)
 
 
-def gamma2_initial(m: float, params: ModelParams) -> float:
-    """Unique positive root of the slope-m seed quadratic.
+def _seed_coeffs(m: float, params: ModelParams) -> tuple[float, float, float]:
+    """Coefficients of the slope-m seed quadratic in g2.
 
     Substituting ``g1 = m*g2`` into the pair quadratic yields a quadratic
     in g2 with constant term ``-alpha*q < 0`` whose leading coefficient
@@ -127,56 +136,62 @@ def gamma2_initial(m: float, params: ModelParams) -> float:
             [f"seed quadratic has non-positive leading coefficient {A} for slope {m}"]
         )
     B = m * (alpha * c1 - q - lam) + alpha * c2 - q - lam
-    C = -alpha * q
-    # C < 0 so the roots straddle zero; the larger root is the positive one.
-    root, _, _ = _quadratic_roots(A, B, C)
-    return root
+    return A, B, -alpha * q
 
 
-def _gamma2_initial_disc(m: float, params: ModelParams) -> float:
-    alpha = require_exponential(params.claims).rate
-    c1, c2, lam, q = params.c1, params.c2, params.lam, params.q
-    A = (m * m + m) * c1 + (1.0 + m) * c2
-    B = m * (alpha * c1 - q - lam) + alpha * c2 - q - lam
-    return B * B + 4.0 * alpha * q * A
+def gamma2_initial(m: float, params: ModelParams) -> float:
+    """Unique positive root of the slope-m seed quadratic.
+
+    The constant term is negative, so the roots straddle zero and the
+    larger one is the positive one.
+    """
+    return _quadratic_roots(*_seed_coeffs(m, params))[0]
 
 
 def solve_g1_g3(g2: float, params: ModelParams) -> tuple[float, float]:
     """Both roots of the pair quadratic at fixed ``g2``; g1 > g3."""
-    A, B, C = _sqeq_coeffs(g2, params)
-    hi, lo, _ = _quadratic_roots(A, B, C)
+    hi, lo, _ = _quadratic_roots(*_sqeq_coeffs(g2, params))
     return (hi, lo)
 
 
-def _disc_g1(g2: float, params: ModelParams) -> float:
-    A, B, C = _sqeq_coeffs(g2, params)
-    return B * B - 4.0 * A * C
+def _step(
+    prev: tuple[float, float, float] | None, slope: float, params: ModelParams
+) -> tuple[float, float, float, float, float]:
+    """(g1, g2, g3, disc_g1, disc_g2) of one step of a family.
 
-
-def advance_gamma2(prev: GammaStep, slope: float, params: ModelParams) -> float:
-    """Next g2: the larger root of the linkage-substituted quadratic.
-
-    With ``s = g3[k] - slope*g2[k]``, requiring ``s + slope*g2`` to solve
-    the pair quadratic at ``g2`` gives a quadratic in ``g2`` whose roots
-    are the previous g2 and the next one; the larger root is the next.
+    ``prev = None`` gives the seed of the family of slope ``slope``:
+    ``g1 = slope*g2`` with g2 the root from :func:`gamma2_initial`.
+    Otherwise ``prev = (g1, g2, g3)`` and the step follows it under the
+    linkage at ``slope``: with ``s = g3[k] - slope*g2[k]``, requiring
+    ``s + slope*g2`` to solve the pair quadratic at ``g2`` gives a
+    quadratic in ``g2`` whose roots are the previous g2 and the next one;
+    the larger root is the next.  Either way g1 is a root of the pair
+    quadratic by construction, and g3 is its companion from the product
+    of roots.
     """
-    g2, _ = _advance_gamma2_disc(prev.g3 - slope * prev.g2, slope, params)
-    if not g2 > prev.g2:
-        raise NonConvergenceError(
-            f"g2 recursion not increasing: {g2} after {prev.g2}"
-        )
-    return g2
+    if prev is None:
+        g2, _, disc_g2 = _quadratic_roots(*_seed_coeffs(slope, params))
+        g1 = slope * g2
+    else:
+        alpha = require_exponential(params.claims).rate
+        c1, c2, lam, q = params.c1, params.c2, params.lam, params.q
+        a, p2 = slope, prev[1]
+        s = prev[2] - a * p2
+        A = (a * a + a) * c1 + (1.0 + a) * c2
+        B = s * (2.0 * c1 * a + c1 + c2) - (lam + q) * (1.0 + a) + alpha * (a * c1 + c2)
+        C = c1 * s * s + (c1 * alpha - lam - q) * s - alpha * q
+        g2, _, disc_g2 = _quadratic_roots(A, B, C)
+        if not g2 > p2:
+            raise NonConvergenceError(f"g2 recursion not increasing: {g2} after {p2}")
+        g1 = s + a * g2
+    A, B, C = _sqeq_coeffs(g2, params)
+    return g1, g2, C / (A * g1), B * B - 4.0 * A * C, disc_g2
 
 
-def _advance_gamma2_disc(s: float, slope: float, params: ModelParams) -> tuple[float, float]:
-    alpha = require_exponential(params.claims).rate
-    c1, c2, lam, q = params.c1, params.c2, params.lam, params.q
-    a = slope
-    A = (a * a + a) * c1 + (1.0 + a) * c2
-    B = s * (2.0 * c1 * a + c1 + c2) - (lam + q) * (1.0 + a) + alpha * (a * c1 + c2)
-    C = c1 * s * s + (c1 * alpha - lam - q) * s - alpha * q
-    root, _, disc = _quadratic_roots(A, B, C)
-    return root, disc
+def advance_gamma2(prev, slope: float, params: ModelParams) -> float:
+    """Next g2 after the step ``prev`` (anything with ``g1, g2, g3``),
+    under the linkage at ``slope``; see :func:`_step`."""
+    return _step((prev.g1, prev.g2, prev.g3), slope, params)[1]
 
 
 def _flux(g: float, g2: float, barrier: BarrierSpec, params: ModelParams) -> float:
@@ -188,57 +203,6 @@ def _rho(g1: float, g2: float, g3: float, alpha: float) -> float:
     return (g3 + g2 + alpha) / (g1 + g2 + alpha)
 
 
-def _build_family(
-    seed_slope: float,
-    barrier: BarrierSpec,
-    params: ModelParams,
-    scaled_d0: float | None,
-    max_terms: int,
-) -> list[GammaStep]:
-    """One family of steps with rescaled coefficients.
-
-    ``scaled_d0 = None`` marks the primed family, whose raw D0 is 1, so
-    its rescaled seed is exp(g2*b).
-    """
-    alpha = require_exponential(params.claims).rate
-    a = barrier.a
-    g2 = gamma2_initial(seed_slope, params)
-    disc2 = _gamma2_initial_disc(seed_slope, params)
-    g1 = seed_slope * g2
-    # companion root via the product of roots (g1 is a root by construction)
-    _, _, C = _sqeq_coeffs(g2, params)
-    g3 = C / (params.c1 * g1)
-    if scaled_d0 is None:
-        scaled = math.exp(g2 * barrier.b)
-    else:
-        scaled = scaled_d0 / _flux(g1, g2, barrier, params)
-    d_raw = scaled * math.exp(-g2 * barrier.b)
-    steps = [GammaStep(g1, g2, g3, d_raw, disc2, _disc_g1(g2, params), scaled)]
-    for _ in range(max_terms - 1):
-        prev = steps[-1]
-        s = prev.g3 - a * prev.g2
-        g2n, disc2n = _advance_gamma2_disc(s, a, params)
-        if not g2n > prev.g2:
-            raise NonConvergenceError(f"g2 recursion not increasing at k={len(steps)}")
-        g1n = s + a * g2n
-        _, _, Cn = _sqeq_coeffs(g2n, params)
-        g3n = Cn / (params.c1 * g1n)
-        ratio = (
-            _rho(prev.g1, prev.g2, prev.g3, alpha)
-            * _flux(prev.g3, prev.g2, barrier, params)
-            / _flux(g1n, g2n, barrier, params)
-        )
-        scaled = prev.D_scaled * ratio
-        d_raw = scaled * math.exp(-g2n * barrier.b)  # underflows to 0 at large k
-        steps.append(GammaStep(g1n, g2n, g3n, d_raw, disc2n, _disc_g1(g2n, params), scaled))
-    return steps
-
-
-def _corner_term(step: GammaStep, alpha: float) -> float:
-    """Series term at the corner (0, b): D_scaled * (1 - rho)."""
-    return step.D_scaled * (step.g1 - step.g3) / (step.g1 + step.g2 + alpha)
-
-
 def build_sequences(
     barrier: BarrierSpec,
     params: ModelParams,
@@ -248,11 +212,17 @@ def build_sequences(
 ) -> GammaSequences:
     """Construct both families plus E, truncated by the corner-sum tails.
 
-    Terms are added until the k-th contribution to both corner sums (the
-    numerator and denominator of E) drops below ``tail_tol`` relative to
-    the running totals, but never fewer than ``min_terms``.  E then
-    zeroes the value at (0, b) by construction, up to the shared
+    Both families advance in lockstep, and each step adds its term to
+    the corner sums at (0, b), the numerator and denominator of E.  The
+    build stops once the k-th term of both sums drops below ``tail_tol``
+    relative to the running totals, but never before ``min_terms``.  E
+    then zeroes the value at (0, b) by construction, up to the shared
     truncation.
+
+    The rescaled coefficients follow ``D_scaled[k+1] = D_scaled[k] *
+    rho[k] * flux(g3[k], g2[k]) / flux(g1[k+1], g2[k+1])``.  The base
+    family starts from ``D0 = delta0 / flux(g1, g2)``, the primed family
+    from ``D0 = 1``, that is ``D_scaled = exp(g2*b)``.
     """
     validate_model(params)
     validate_barrier(barrier, params)
@@ -261,39 +231,52 @@ def build_sequences(
         raise ParameterError(
             ["series solution needs the reflection drift delta = (c1 + 1, c2 - a)"]
         )
-    a_prime = (barrier.a - params.c2) / (params.c1 + 1.0)
+    a, b = float(barrier.a), float(barrier.b)
+    a_prime = (a - params.c2) / (params.c1 + 1.0)
     if not 2 <= min_terms <= max_terms:
         raise ParameterError([f"need 2 <= min_terms <= max_terms, got {min_terms}, {max_terms}"])
 
-    steps = _build_family(barrier.a, barrier, params, barrier.delta0, max_terms)
-    primed = _build_family(a_prime, barrier, params, None, max_terms)
-
-    num = den = 0.0
-    k_stop = None
+    families: tuple[list, list] = ([], [])  # rows in _FIELDS order
+    sums = [0.0, 0.0]  # corner sums: numerator and denominator of E
     tail = math.inf
     for k in range(max_terms):
-        tn = _corner_term(steps[k], alpha)
-        td = _corner_term(primed[k], alpha)
-        num += tn
-        den += td
+        terms = []
+        for f, (rows, seed_slope) in enumerate(zip(families, (a, a_prime))):
+            if k == 0:
+                g1, g2, g3, disc_g1, disc_g2 = _step(None, seed_slope, params)
+                if f == 0:
+                    scaled = barrier.delta0 / _flux(g1, g2, barrier, params)
+                else:
+                    scaled = math.exp(g2 * b)
+            else:
+                p1, p2, p3, _, p_scaled, _, _ = rows[-1]
+                g1, g2, g3, disc_g1, disc_g2 = _step((p1, p2, p3), a, params)
+                scaled = p_scaled * (
+                    _rho(p1, p2, p3, alpha)
+                    * _flux(p3, p2, barrier, params)
+                    / _flux(g1, g2, barrier, params)
+                )
+            d_raw = scaled * math.exp(-g2 * b)  # underflows to 0 at large k
+            rows.append((g1, g2, g3, d_raw, scaled, disc_g1, disc_g2))
+            terms.append(scaled * (g1 - g3) / (g1 + g2 + alpha))
+            sums[f] += terms[f]
         if k >= 1:
-            tail = max(abs(tn) / max(abs(num), 1e-300), abs(td) / max(abs(den), 1e-300))
+            tail = max(abs(t) / max(abs(s), 1e-300) for t, s in zip(terms, sums))
             if tail < tail_tol and k + 1 >= min_terms:
-                k_stop = k + 1
                 break
-    if k_stop is None:
+    else:
         raise NonConvergenceError(
             f"corner sums not converged in {max_terms} terms (tail ratio {tail:.2e})"
         )
-    E = -num / den
+    data = np.array(families, dtype=float).transpose(2, 0, 1).copy()  # (field, family, k)
+    data.flags.writeable = False
     return GammaSequences(
-        steps=tuple(steps[:k_stop]),
-        primed_steps=tuple(primed[:k_stop]),
-        E=E,
+        *data,
+        E=float(-sums[0] / sums[1]),
         a_prime=a_prime,
-        a=barrier.a,
-        b=barrier.b,
-        tail_ratio=tail,
+        a=a,
+        b=b,
+        tail_ratio=float(tail),
     )
 
 
@@ -313,11 +296,9 @@ def sequences_to_csv(seqs: GammaSequences) -> str:
     """Diagnostic dump, one row per k."""
     out = io.StringIO()
     out.write("k,g1,g2,g3,D,g1p,g2p,g3p,Dp\n")
-    for k, (s, p) in enumerate(zip(seqs.steps, seqs.primed_steps)):
-        out.write(
-            f"{k},{s.g1!r},{s.g2!r},{s.g3!r},{s.D!r},"
-            f"{p.g1!r},{p.g2!r},{p.g3!r},{p.D!r}\n"
-        )
+    cols = [getattr(seqs, f)[r].tolist() for r in (0, 1) for f in ("g1", "g2", "g3", "D")]
+    for k, row in enumerate(zip(*cols)):
+        out.write(f"{k}," + ",".join(map(repr, row)) + "\n")
     return out.getvalue()
 
 

@@ -83,16 +83,21 @@ def sweep_barrier(
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    """Sweep grid as CSV plus an ``argmax`` footer row."""
+    """Sweep grid as CSV plus an ``argmax`` footer row.
+
+    Numbers are written as plain floats, whatever scalar type the grid
+    was given in.
+    """
+    num = lambda x: repr(float(x))
     out = io.StringIO()
     out.write(SWEEP_HEADER + "\n")
     for c in result.grid:
-        v = "" if c.v1 is None else repr(c.v1)
-        tail = "" if c.v1 is None else repr(c.tail)
-        out.write(f"{c.a!r},{c.b!r},{c.u1!r},{c.u2!r},{v},{c.terms},{tail}\n")
+        v = "" if c.v1 is None else num(c.v1)
+        tail = "" if c.v1 is None else num(c.tail)
+        out.write(f"{num(c.a)},{num(c.b)},{num(c.u1)},{num(c.u2)},{v},{c.terms},{tail}\n")
     if result.argmax is not None:
         a, b = result.argmax
-        out.write(f"argmax,{a!r},{b!r},,{result.argmax_value!r},,\n")
+        out.write(f"argmax,{num(a)},{num(b)},,{num(result.argmax_value)},,\n")
     return out.getvalue()
 
 

@@ -10,8 +10,6 @@ batching or threading arrangement.
 Barrier paths run through one NumPy kernel that moves a block of paths in
 lockstep, one inter-claim interval at a time; a single path is a block of
 one, so estimates, single-path calls and traces share every operation.
-The impulse event loop is numba-compiled when numba is importable and
-runs as plain Python otherwise (same code, same arithmetic).
 """
 
 from __future__ import annotations
@@ -31,14 +29,6 @@ from .model import (
     validate_model,
 )
 from .impulse import ImpulseSpec
-
-try:  # pragma: no cover - exercised implicitly
-    from numba import njit as _njit
-
-    _jit = _njit(cache=True)
-except ImportError:  # pragma: no cover
-    def _jit(f):
-        return f
 
 #: path-status codes shared by the kernels
 _DONE, _CENSORED, _NEED_MORE = 0, 1, 2
@@ -282,7 +272,7 @@ def _barrier_kernel(
     return D_out, sig_out, status
 
 
-def _impulse_kernel_py(u1, u2, K, c1, c2, q, max_cycles, ts, xs):
+def _impulse_kernel(u1, u2, K, c1, c2, q, max_cycles, ts, xs):
     """Renewal loop for one impulse path.
 
     ``ts`` supplies every exponential waiting time (cycle waits and the
@@ -331,9 +321,6 @@ def _impulse_kernel_py(u1, u2, K, c1, c2, q, max_cycles, ts, xs):
             if z < floor:
                 return D, t + s, _DONE, it, ix, cycle + 1
     return D, t, _CENSORED, it, ix, max_cycles
-
-
-_impulse_kernel = _jit(_impulse_kernel_py)
 
 
 @dataclass

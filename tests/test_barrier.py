@@ -6,6 +6,7 @@ import pytest
 from dividend2d import (
     AnalyticDomainError,
     BarrierSpec,
+    ExponentialClaims,
     ModelParams,
     Reserves,
     SampledClaims,
@@ -42,6 +43,25 @@ def test_agrees_with_simulator(params, barrier):
     )
     mean, se = est.moments[1]
     assert abs(mean - V1_TABLE1_ARGMAX_CELL) < 4.0 * se
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "the series leaves out ruin of company 2, which the simulated model"
+        " counts: at alpha=0.6, q=0.1, u=(1,2), a=0.1, b=14 the series gives"
+        " 15.6484 against Monte Carlo 14.7209 +- 0.0559 at 5e4 paths"
+        " (benchmark/references.json)"
+    ),
+)
+def test_agrees_with_simulator_at_large_claims():
+    params = ModelParams(c1=4.0, c2=3.0, lam=1.0, claims=ExponentialClaims(0.6), q=0.1)
+    barrier = BarrierSpec.reflection(0.1, 14.0, params)
+    u = Reserves(1.0, 2.0)
+    series = v1_barrier(u, barrier, params).value
+    est = estimate_barrier_moments(u, barrier, params, SimConfig(n_paths=20_000, master_seed=2024))
+    mean, se = est.moments[1]
+    assert abs(series - mean) <= 3.0 * se
 
 
 def test_pide_residual_small(params, barrier):

@@ -1,6 +1,15 @@
+import numpy as np
 import pytest
 
-from dividend2d import Reserves, refine_barrier, sweep_barrier, sweep_to_csv
+from dividend2d import (
+    BarrierSpec,
+    Reserves,
+    build_sequences,
+    refine_barrier,
+    sequences_to_csv,
+    sweep_barrier,
+    sweep_to_csv,
+)
 from dividend2d.gammas import sequences_for
 from dividend2d.optimize import SWEEP_HEADER
 
@@ -47,6 +56,20 @@ def test_csv_format(params):
     assert lines[0] == SWEEP_HEADER
     assert len(lines) == 4  # header + 2 cells + argmax footer
     assert lines[-1].startswith("argmax,")
+
+
+def test_csv_cells_are_plain_floats_for_numpy_inputs(params):
+    # NumPy scalars must not reach the text as np.float64(...)
+    grid = list(np.linspace(0.1, 0.2, 2))
+    sweep = sweep_to_csv(sweep_barrier(Reserves(1.0, 2.0), grid, [14.0], params))
+    bar = BarrierSpec.reflection(np.float64(0.1), np.float64(14.0), params)
+    seqs = build_sequences(bar, params)
+    for dump in (sweep, sequences_to_csv(seqs)):
+        for line in dump.strip().splitlines()[1:]:
+            for cell in line.split(","):
+                if cell not in ("", "argmax"):
+                    float(cell)
+    assert seqs.key == "gamma[a=0.1,b=14.0,terms=%d]" % len(seqs.steps)
 
 
 def test_refine_beats_grid(params):
