@@ -329,6 +329,14 @@ def main(argv: list[str] | None = None) -> int:
         if missing:
             print(f"missing flags for simulate {args.control}: {', '.join(missing)}")
             return EXIT_BAD_INPUT
+        unused = {
+            "barrier": {"--cost": args.cost},
+            "impulse": {"--a": args.a, "--b": args.b, "--max-time": args.max_time, "--trace": args.trace},
+        }[args.control]
+        given = [flag for flag, val in unused.items() if val is not None]
+        if given:
+            print(f"flags not used by simulate {args.control}: {', '.join(given)}")
+            return EXIT_BAD_INPUT
     try:
         return args.func(args)
     except (ParameterError, UnsupportedDistributionError, ValueError, OSError) as exc:

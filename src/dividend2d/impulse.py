@@ -16,6 +16,7 @@ quadrature over a ballot-type crossing density.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -23,7 +24,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+from scipy.special import i1e
 
 from .model import (
     ModelParams,
@@ -75,8 +76,21 @@ class ImpulseValuation:
     tau_integral: float
 
 
-def _gauss_nodes(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=None)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
+
+    The node-doubling schedules ask for a handful of n, so the cache stays
+    small.  The arrays are shared by every caller, so they are read-only.
+    """
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss_nodes(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _leggauss(n)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
@@ -172,33 +186,17 @@ def impulse_v1_high(spec: ImpulseSpec, params: ModelParams) -> ImpulseValuation:
 # ---------------------------------------------------------------------------
 # u1 <= u2: tilted-measure quadrature
 
-def _mixture_terms(tilt: TiltedModel, t_max: float, trunc_tol: float) -> int:
-    """Number of mixture terms so the dropped tail is below trunc_tol.
-
-    Tail bound: P(N > n) at the largest Poisson mean times the density
-    sup over x, which is at most the single-claim rate beta.
-    """
-    mu = tilt.lambda_q * t_max
-    n = max(8, int(mu + 10.0 * math.sqrt(mu + 1.0)))
-    while gammainc(n + 1, mu) > trunc_tol and n < 10_000:
-        n = int(n * 1.5) + 4
-    return n
-
-
-def erlang_mixture_density(
-    j: int,
-    t,
-    x,
-    tilt: TiltedModel,
-    params: ModelParams,
-    trunc_tol: float = 1e-12,
-):
+def erlang_mixture_density(j: int, t, x, tilt: TiltedModel, params: ModelParams):
     """Density of the scaled tilted aggregate claims ``S(t)/c_j`` at x.
 
-    A Poisson mixture of Erlang densities with rate ``alpha_q * c_j``,
-    summed until the Poisson tail bound falls below ``trunc_tol``.  The
-    zero-claims atom (mass ``exp(-lambda_q t)`` at x = 0) is excluded;
-    callers account for it explicitly.  Vectorized over ``t`` and ``x``.
+    A Poisson(``mu = lambda_q t``) mixture of Erlang densities with rate
+    ``beta = alpha_q * c_j``.  The sum has the closed form
+    ``beta sqrt(mu / (beta x)) I1(2 sqrt(mu beta x)) exp(-mu - beta x)``,
+    evaluated with the exponentially scaled Bessel function ``i1e``; what
+    remains of the exponent is ``-(sqrt(mu) - sqrt(beta x))**2 <= 0``, so
+    nothing overflows.  The zero-claims atom (mass ``exp(-lambda_q t)`` at
+    x = 0) is excluded; callers account for it explicitly.  Vectorized over
+    ``t`` and ``x``.
     """
     if j not in (1, 2):
         raise ValueError(f"company index must be 1 or 2, got {j}")
@@ -210,13 +208,9 @@ def erlang_mixture_density(
     out = np.zeros(t_b.shape)
     mask = (t_b > 0.0) & (x_b > 0.0)
     if np.any(mask):
-        tv = t_b[mask]
-        xv = x_b[mask]
-        n = _mixture_terms(tilt, float(np.max(tv)), trunc_tol / max(beta, 1.0))
-        i = np.arange(1, n + 1)[:, None]
-        log_pois = -tilt.lambda_q * tv + i * np.log(tilt.lambda_q * tv) - gammaln(i + 1)
-        log_erl = i * math.log(beta) + (i - 1) * np.log(xv) - beta * xv - gammaln(i)
-        out[mask] = np.sum(np.exp(log_pois + log_erl), axis=0)
+        s = np.sqrt(tilt.lambda_q * t_b[mask])
+        r = np.sqrt(beta * x_b[mask])
+        out[mask] = beta * (s / r) * i1e(2.0 * s * r) * np.exp(-((s - r) ** 2))
     if out.ndim == 0:
         return float(out)
     return out
@@ -281,7 +275,7 @@ def ballot_crossing_density(
 
         def conv_at(n: int) -> np.ndarray:
             # nodes w in (v, phi(z)) per z, all evaluated in one batch
-            xg, wg = np.polynomial.legendre.leggauss(n)
+            xg, wg = _leggauss(n)
             half = 0.5 * (ps - v)
             w_nodes = (v + half)[:, None] + half[:, None] * xg[None, :]
             weights = half[:, None] * wg[None, :]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -103,24 +103,32 @@ def _draw_chunk(rng: np.random.Generator, params: ModelParams) -> tuple[np.ndarr
     return rng.exponential(scale_t, _CHUNK), params.claims.sample(rng, _CHUNK)
 
 
-def _fill_streams(
-    master_seed: int, paths: np.ndarray, params: ModelParams, ts: np.ndarray, xs: np.ndarray
-) -> None:
-    """Fill row ``j`` of ``ts``/``xs`` with the waiting times and claim
-    sizes that ``_path_rng(master_seed, paths[j])`` yields, chunk by chunk.
+def _path_rngs(master_seed: int, paths: Iterable[int]) -> Iterator[np.random.Generator]:
+    """Yield a generator in the state of ``_path_rng(master_seed, i)`` for
+    each ``i`` in ``paths``, in turn.
 
     One generator is re-keyed per path (counter and buffer reset to a
     fresh generator's), which draws the same numbers at half the cost of
-    building a new one.
+    building a new one.  Each yielded generator is the same object, valid
+    until the next one is requested.
     """
     key = _path_key(master_seed, 0)
     bitgen = np.random.Philox(key=key)
     rng = np.random.Generator(bitgen)
     fresh = bitgen.state
     fresh["state"]["key"] = key
-    for j, i in enumerate(paths.tolist()):
+    for i in paths:
         key[1] = i
         bitgen.state = fresh
+        yield rng
+
+
+def _fill_streams(
+    master_seed: int, paths: np.ndarray, params: ModelParams, ts: np.ndarray, xs: np.ndarray
+) -> None:
+    """Fill row ``j`` of ``ts``/``xs`` with the waiting times and claim
+    sizes that ``_path_rng(master_seed, paths[j])`` yields, chunk by chunk."""
+    for j, rng in enumerate(_path_rngs(master_seed, paths.tolist())):
         for c in range(0, ts.shape[1], _CHUNK):
             ts[j, c : c + _CHUNK], xs[j, c : c + _CHUNK] = _draw_chunk(rng, params)
 
@@ -278,13 +286,15 @@ def _impulse_kernel(u1, u2, K, c1, c2, q, max_cycles, ts, xs):
     ``ts`` supplies every exponential waiting time (cycle waits and the
     inter-claim gaps of the recovery race alike, in consumption order);
     ``xs`` supplies claim sizes.  Returns (D, sigma, status, used_t,
-    used_x, cycles).
+    used_x, cycles).  The loop runs on Python floats: indexing a list is
+    cheaper than indexing an array, and the arithmetic is the same.
     """
+    ts, xs = ts.tolist(), xs.tolist()
     mn = u1 if u1 < u2 else u2
     gap = u2 - u1
     t, D = 0.0, 0.0
     it, ix = 0, 0
-    nt, nx = ts.shape[0], xs.shape[0]
+    nt, nx = len(ts), len(xs)
     for cycle in range(max_cycles):
         if it >= nt or ix >= nx:
             return D, t, _NEED_MORE, it, ix, cycle
@@ -508,7 +518,7 @@ def estimate_impulse_moments(
     """
     validate_model(params)
     results = (
-        simulate_impulse_path(spec, params, _path_rng(cfg.master_seed, i), max_cycles)
-        for i in range(cfg.n_paths)
+        simulate_impulse_path(spec, params, rng, max_cycles)
+        for rng in _path_rngs(cfg.master_seed, range(cfg.n_paths))
     )
     return _accumulate(cfg, params.c1, params, ((r.D, r.sigma, r.censored) for r in results))

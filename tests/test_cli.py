@@ -51,6 +51,21 @@ def test_simulate_missing_flags(capsys):
     assert "--a/--b" in out
 
 
+def test_simulate_rejects_flags_of_the_other_control(tmp_path, capsys):
+    # the impulse simulator has no barrier, horizon or trace, and the
+    # barrier simulator no cost: such flags would be silently ignored
+    base = ["--paths", "10", "--seed", "1", "--u1", "3", "--u2", "2"]
+    rc, out = run(capsys, ["simulate", "impulse", *base, "--cost", "0.5", "--a", "0.1",
+                           "--max-time", "5", "--trace", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert "--a, --max-time, --trace" in out and "--b" not in out
+    assert not (tmp_path / "t.csv").exists()
+    rc, out = run(capsys, ["simulate", "barrier", *base, "--a", "0.1", "--b", "14",
+                           "--cost", "0.5"])
+    assert rc == 2
+    assert "--cost" in out
+
+
 def test_simulate_trace(tmp_path, capsys):
     trace = tmp_path / "path.csv"
     rc, _ = run(capsys, ["simulate", "barrier", "--paths", "10", "--seed", "3",

@@ -4,12 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammainc, i1e
+from scipy.special import gammainc, gammaln, i1e
 
 from conftest import impulse_cycle_mc, tilted_horizon_survival
 from dividend2d import (
+    ExponentialClaims,
     ImpulseMethod,
     ImpulseSpec,
+    ModelParams,
     ParameterError,
     SimConfig,
     ballot_crossing_density,
@@ -24,6 +26,7 @@ from dividend2d import (
     v_q,
     value_impulse,
 )
+from dividend2d.impulse import _leggauss
 
 # frozen from the finite-difference-of-quadrature oracle (h=1e-6, u2=2)
 TAU_INTEGRAL_U2_2 = 0.16257591378687763
@@ -140,6 +143,38 @@ def test_mixture_against_bessel_closed_form(params, tilt):
         )
         ours = erlang_mixture_density(j, t, x, tilt, params)
         assert np.allclose(ours, closed, rtol=1e-10)
+
+
+def test_mixture_against_log_space_series(params):
+    # independent oracle: the Poisson-Erlang series itself, 200 terms
+    # summed in log space, on a grid spanning eight decades in t and ten
+    # in x, both companies, two parameter sets
+    other = ModelParams(c1=5.0, c2=2.5, lam=1.5, claims=ExponentialClaims(rate=1.2), q=0.05)
+    t = np.geomspace(1e-6, 20.0, 37)[:, None]
+    x = np.geomspace(1e-8, 15.0, 41)[None, :]
+    i = np.arange(1, 201)[:, None, None]
+    for model in (params, other):
+        tilt = phi_inverse(model)
+        for j, cj in ((1, model.c1), (2, model.c2)):
+            beta = tilt.alpha_q * cj
+            mu = tilt.lambda_q * t
+            log_terms = (
+                -mu + i * np.log(mu) - gammaln(i + 1)
+                + i * math.log(beta) + (i - 1) * np.log(x) - beta * x - gammaln(i)
+            )
+            assert np.max(log_terms[-1]) < -200.0  # the series is summed out
+            series = np.sum(np.exp(log_terms), axis=0)
+            ours = erlang_mixture_density(j, t, x, tilt, model)
+            assert np.max(np.abs(ours - series)) < 1e-13
+
+
+def test_gauss_nodes_cached_read_only():
+    x, w = _leggauss(32)
+    assert _leggauss(32)[0] is x
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
 
 
 def test_mixture_against_sampled_distribution(params, tilt):

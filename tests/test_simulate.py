@@ -17,7 +17,13 @@ from dividend2d import (
     simulate_refracted_path,
     trace_refracted_path,
 )
-from dividend2d.simulate import _path_rng, default_max_time
+from dividend2d.simulate import (
+    _NEED_MORE,
+    _draw_chunk,
+    _impulse_kernel,
+    _path_rng,
+    default_max_time,
+)
 
 
 def test_same_seed_is_bit_identical(params, barrier):
@@ -182,6 +188,28 @@ def test_impulse_determinism(params):
     spec = ImpulseSpec(1.0, 2.0, 0.5)
     cfg = SimConfig(n_paths=2000, master_seed=77)
     assert estimate_impulse_moments(spec, params, cfg) == estimate_impulse_moments(spec, params, cfg)
+
+
+def test_impulse_run_matches_single_paths_beyond_first_chunk(params):
+    # at (3, 2, K=0.5) some paths complete enough cycles to outlive their
+    # first 256-draw chunk and are rerun on longer streams; the estimate
+    # must still equal the path-ordered sum of single-path runs exactly
+    spec = ImpulseSpec(3.0, 2.0, 0.5)
+    cfg = SimConfig(n_paths=16, master_seed=21, moment_orders=(1, 2))
+    first_chunk = [
+        _impulse_kernel(
+            spec.u1, spec.u2, spec.K, params.c1, params.c2, params.q, 1_000_000,
+            *_draw_chunk(_path_rng(cfg.master_seed, i), params),
+        )[2]
+        for i in range(cfg.n_paths)
+    ]
+    assert _NEED_MORE in first_chunk
+    full = estimate_impulse_moments(spec, params, cfg)
+    total = 0.0
+    for i in range(cfg.n_paths):
+        total += simulate_impulse_path(spec, params, _path_rng(cfg.master_seed, i)).D
+    assert total / cfg.n_paths == full.moments[1][0]
+    assert all(type(v) is float for moment in full.moments.values() for v in moment)
 
 
 def test_trace_structure(params, barrier):
