@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Run benchmark workloads in alternating pairs on two source trees.
+
+    python3 scripts/bench_pairs.py --base ../parent --change . \\
+        --workload series --seeds 401-410 --out BENCH_7.json
+
+Each pair runs ``python3 <tree>/benchmark/run.py --workload W --seed S
+--seconds T --trace 0`` once on the base tree and once on the change
+tree, where T is the ``run_seconds`` of the change tree's
+``BENCHMARK.json``, and the tree that runs first alternates from pair to
+pair.  The last line of each run's output is its JSON result.  For every
+end-to-end metric that the same file declares, the summary holds the
+per-pair values, each side's median and quartiles, and how many pairs
+the change won (ties count for neither side); for each side it also
+holds the failed and attempted operations and the runs whose checks did
+not all pass.  An existing ``--out`` file keeps the workloads this call
+does not run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+from statistics import median, quantiles
+
+SIDES = ("base", "change")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``401-410`` or ``401,405,409`` (or a mix) as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds += range(int(lo), int(hi or lo) + 1)
+    return seeds
+
+
+def tree_state(tree: Path) -> str:
+    """Short commit of a git tree, with ``+dirty`` when it has uncommitted edits."""
+    git = ["git", "-C", str(tree)]
+    head = subprocess.run([*git, "rev-parse", "--short", "HEAD"], capture_output=True, text=True)
+    if head.returncode != 0:
+        return "unknown"
+    dirty = subprocess.run([*git, "status", "--porcelain", "--untracked-files=no"],
+                           capture_output=True, text=True).stdout.strip()
+    return head.stdout.strip() + ("+dirty" if dirty else "")
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, str(tree / "benchmark" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=1800)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def spread(values: list[float]) -> dict:
+    q1, q2, q3 = quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": median(values), "q1": q1, "q3": q3, "quartile_distance": q3 - q1}
+
+
+def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
+    metrics = {}
+    for name, direction in better.items():
+        values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
+        sign = 1.0 if direction == "higher" else -1.0
+        wins = sum(sign * (c - b) > 0.0 for b, c in zip(values["base"], values["change"]))
+        metrics[name] = {
+            "better": direction,
+            "unit": pairs[0]["base"]["metrics"][name]["unit"],
+            "pairs": [{"seed": p["seed"], "base": b, "change": c}
+                      for p, b, c in zip(pairs, values["base"], values["change"])],
+            **{side: spread(values[side]) for side in SIDES},
+            "change_wins": wins,
+        }
+    operations = {
+        side: {
+            "failed": sum(p[side]["failed"] for p in pairs),
+            "attempted": sum(p[side]["attempted"] for p in pairs),
+            "runs_not_correct": sum(not p[side]["correct"] for p in pairs),
+        }
+        for side in SIDES
+    }
+    return {"n_pairs": len(pairs), "seeds": [p["seed"] for p in pairs],
+            "first": [p["first"] for p in pairs], "metrics": metrics, "operations": operations}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path, required=True, help="source tree of the parent")
+    parser.add_argument("--change", type=Path, required=True, help="source tree of the change")
+    parser.add_argument("--workload", action="append", required=True, help="repeat for several")
+    parser.add_argument("--seeds", required=True, help="for example 401-410 or 401,403")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    trees = {"base": args.base.resolve(), "change": args.change.resolve()}
+    benchmark = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    out = json.loads(args.out.read_text()) if args.out.exists() else {}
+    out.update({
+        "command": "benchmark/run.py --workload W --seed S --seconds "
+                   f"{seconds:g} --trace 0",
+        "trees": {side: tree_state(trees[side]) for side in SIDES},
+    })
+    workloads = out.setdefault("workloads", {})
+    for workload in args.workload:
+        pairs = []
+        for i, seed in enumerate(parse_seeds(args.seeds)):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_once(trees[side], workload, seed, seconds)
+            pairs.append(pair)
+            print(f"{workload} seed {seed}: " + ", ".join(
+                f"{m} {pair['base']['metrics'][m]['value']:.4g} -> {pair['change']['metrics'][m]['value']:.4g}"
+                for m in better), flush=True)
+        workloads[workload] = summarise(pairs, better)
+        args.out.write_text(json.dumps(out, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,6 +13,7 @@ from .barrier import (
     boundary_residual,
     pide_residual,
     v1_barrier,
+    v1_values,
 )
 from .gammas import (
     GammaSequences,

@@ -24,7 +24,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import i1e
 
 from .model import (
     ModelParams,
@@ -89,6 +88,9 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+_ROUNDING_RTOL = 1e-13
+
+
 def _gauss_nodes(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     x, w = _leggauss(n)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -106,7 +108,9 @@ def adaptive_gauss(
     """Integrate a vectorized smooth integrand by node doubling.
 
     Gauss-Legendre at n and 2n nodes until successive estimates differ by
-    less than ``tol`` (absolute); raises on non-convergence.
+    less than ``tol`` (absolute) or by ``_ROUNDING_RTOL`` of the estimate,
+    below which rounding in the integrand and the sum decides the
+    difference whatever the node count; raises on non-convergence.
     """
     if hi <= lo:
         return 0.0
@@ -117,7 +121,7 @@ def adaptive_gauss(
         n *= 2
         x, w = _gauss_nodes(n, lo, hi)
         cur = float(np.sum(w * f(x)))
-        if abs(cur - prev) <= tol:
+        if abs(cur - prev) <= max(tol, _ROUNDING_RTOL * abs(cur)):
             return cur
         prev = cur
     raise NonConvergenceError(
@@ -208,6 +212,10 @@ def erlang_mixture_density(j: int, t, x, tilt: TiltedModel, params: ModelParams)
     out = np.zeros(t_b.shape)
     mask = (t_b > 0.0) & (x_b > 0.0)
     if np.any(mask):
+        # SciPy is loaded here, on first use, so the routes that never
+        # reach this quadrature start without it
+        from scipy.special import i1e
+
         s = np.sqrt(tilt.lambda_q * t_b[mask])
         r = np.sqrt(beta * x_b[mask])
         out[mask] = beta * (s / r) * i1e(2.0 * s * r) * np.exp(-((s - r) ** 2))

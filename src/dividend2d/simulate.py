@@ -62,6 +62,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError(f"n_paths >= 1 required, got {self.n_paths}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if any(n < 1 for n in self.moment_orders):
             raise ValueError("moment orders must be positive integers")
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from dividend2d import (
     AnalyticDomainError,
@@ -18,7 +19,9 @@ from dividend2d import (
     pide_residual,
     v1_barrier,
 )
+from dividend2d.barrier import _integral_term, v1_values
 from dividend2d.gammas import build_sequences
+from dividend2d.tables import TABLE3_BARRIER, TABLE3_REFERENCE
 
 # regression pin: cross-validated against the path simulator to ~3 decimals
 # (direct simulation at 3e5 paths gave 37.9459 +- 0.0111)
@@ -174,3 +177,73 @@ def test_domain_rejections(params, barrier):
     general = BarrierSpec(a=0.1, b=14.0, delta1=params.c1 + 2.0, delta2=1.0)
     with pytest.raises(AnalyticDomainError, match="reflection"):
         v1_barrier(Reserves(1.0, 2.0), general, params)
+
+
+def _random_barrier(rng, params):
+    return BarrierSpec.reflection(rng.uniform(0.05, 1.5), rng.uniform(4.0, 30.0), params)
+
+
+def _points_below(rng, bar, n):
+    """n points with u1 < u2 strictly below the barrier line."""
+    u1 = rng.uniform(0.0, 0.95 * bar.b / (1.0 + bar.a), n)
+    u2 = u1 + rng.uniform(0.01, 0.99, n) * (bar.line_height(u1) - u1)
+    return u1, u2
+
+
+def test_v1_values_equal_v1_barrier(params):
+    bar = BarrierSpec.reflection(*TABLE3_BARRIER, params)
+    u1, u2 = np.array(list(TABLE3_REFERENCE)).T
+    scalar = [v1_barrier(Reserves(x, y), bar, params).value for x, y in zip(u1, u2)]
+    assert v1_values(u1, u2, bar, params).tolist() == scalar
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        bar = _random_barrier(rng, params)
+        u1, u2 = _points_below(rng, bar, 50)
+        scalar = [v1_barrier(Reserves(x, y), bar, params).value for x, y in zip(u1, u2)]
+        assert v1_values(u1, u2, bar, params).tolist() == scalar
+
+
+def test_v1_values_rejects_points_as_v1_barrier_does(params, barrier):
+    with pytest.raises(AnalyticDomainError, match="above the barrier"):
+        v1_values([1.0, 1.0], [2.0, 14.5], barrier, params)
+    with pytest.raises(AnalyticDomainError, match="u1 < u2"):
+        v1_values(2.0, [3.0, 2.0], barrier, params)
+    with pytest.raises(AnalyticDomainError, match="quadrant"):
+        v1_values(-0.5, 1.0, barrier, params)
+
+
+def test_integral_term_matches_adaptive_quad(params):
+    # oracle: SciPy's adaptive quadrature over scalar series calls
+    alpha = params.claims.rate
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        bar = _random_barrier(rng, params)
+        (u1,), (u2,) = _points_below(rng, bar, 1)
+        got = _integral_term(
+            Reserves(u1, u2), bar, params, V=lambda x1, x2: v1_values(x1, x2, bar, params)
+        )
+        ref, _ = quad(
+            lambda v: v1_barrier(Reserves(u1 - v, u2 - v), bar, params).value
+            * alpha * math.exp(-alpha * v),
+            0.0, u1, epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        assert got == pytest.approx(params.lam * ref, rel=1e-12, abs=0.0)
+
+
+def test_integral_term_converges_when_the_integral_is_large():
+    # at small q the integral reaches 1e5-1e6, where successive Gauss rules
+    # differ by rounding far above the 1e-10 absolute tolerance
+    params = ModelParams(c1=4.0, c2=3.0, lam=1.0, claims=ExponentialClaims(0.6), q=1e-6)
+    for b in (14.0, 30.0):
+        bar = BarrierSpec.reflection(0.1, b, params)
+        u1 = 0.4 * b / 1.1
+        u = Reserves(u1, u1 + 0.3 * (bar.line_height(u1) - u1))
+        got = _integral_term(u, bar, params, V=lambda x1, x2: v1_values(x1, x2, bar, params))
+        ref, _ = quad(
+            lambda v: v1_barrier(Reserves(u.u1 - v, u.u2 - v), bar, params).value
+            * 0.6 * math.exp(-0.6 * v),
+            0.0, u.u1, epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        assert got > 1e5
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert math.isfinite(pide_residual(u, bar, params))

@@ -1,6 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import dividend2d
 
 from dividend2d import NonConvergenceError
 from dividend2d.cli import main
@@ -139,3 +144,47 @@ def test_nonconvergence_exit_code(capsys, monkeypatch):
     rc, out = run(capsys, ["table", "1"])
     assert rc == 3
     assert "numerical error" in out
+
+
+def test_simulate_seed_out_of_range_is_bad_input(capsys):
+    for seed in ("-1", "18446744073709551616"):
+        rc, out = run(capsys, ["simulate", "impulse", "--paths", "10", "--seed", seed,
+                               "--u1", "3", "--u2", "2", "--cost", "0.5"])
+        assert rc == 2
+        assert out.startswith("error: master_seed must lie in [0, 2**64)")
+
+
+_SCIPY_FREE = """
+import sys
+from dividend2d.cli import main
+from dividend2d import BarrierSpec, Reserves, boundary_residual, pide_residual
+from dividend2d.tables import TABLE_PARAMS
+
+loaded_by_import = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+barrier = ["--u1", "1", "--u2", "2", "--a", "0.1", "--b", "14"]
+impulse = ["--u1", "3", "--u2", "2", "--cost", "0.5"]
+for argv in (
+    ["value-barrier", *barrier],
+    ["value-impulse", *impulse],
+    ["simulate", "barrier", "--paths", "64", "--seed", "1", *barrier],
+    ["simulate", "impulse", "--paths", "64", "--seed", "1", *impulse],
+    ["table", "1"],
+):
+    assert main(argv) == 0, argv
+bar = BarrierSpec.reflection(0.1, 14.0, TABLE_PARAMS)
+pide_residual(Reserves(1.0, 2.0), bar, TABLE_PARAMS)
+boundary_residual(Reserves(3.0, bar.line_height(3.0)), bar, TABLE_PARAMS)
+print(loaded_by_import, [m for m in sys.modules if m.split(".")[0] == "scipy"])
+"""
+
+
+def test_scipy_stays_unloaded_off_the_quadrature_route():
+    # only the u1 <= u2 impulse quadrature and validate need SciPy; every
+    # other command, and both residual checks, start and run without it
+    src = str(Path(dividend2d.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + _SCIPY_FREE],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "[] []"

@@ -232,3 +232,12 @@ def test_trace_ends_censored_below_line(params):
     t, y1, y2, ev = rows[-1]
     assert ev == "censored" and t >= 3.0
     assert y2 < far.line_height(y1)
+
+
+def test_seed_outside_the_key_range_is_rejected():
+    # Philox keys are uint64: -1 and 2**64 used to overflow deep inside
+    # the stream setup instead of failing as bad input
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\*\*64\)"):
+            SimConfig(n_paths=10, master_seed=seed)
+    assert SimConfig(n_paths=10, master_seed=2**64 - 1).master_seed == 2**64 - 1
