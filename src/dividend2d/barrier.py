@@ -28,6 +28,8 @@ from .model import (
     validate_model,
 )
 
+_INTEGRAL_TOL = 1e-10  # absolute, for the claim integral in the PIDE residual
+
 
 class AnalyticDomainError(ValueError):
     """The series solution is not defined at the requested point."""
@@ -170,13 +172,7 @@ def _default_step(u: Reserves) -> float:
     return 1e-4 * max(1.0, abs(u.u1), abs(u.u2))
 
 
-def _integral_term(
-    u: Reserves,
-    barrier: BarrierSpec,
-    params: ModelParams,
-    V,
-    quad_tol: float = 1e-10,
-) -> float:
+def _integral_term(u: Reserves, barrier: BarrierSpec, params: ModelParams, V) -> float:
     """lam * int_0^min(u1,u2) V(u - (v,v)) dF(v) for exponential claims.
 
     Along the down-diagonal the gap u2 - u1 is constant and the point
@@ -192,7 +188,7 @@ def _integral_term(
     def integrand(v: np.ndarray) -> np.ndarray:
         return V(u.u1 - v, u.u2 - v) * alpha * np.exp(-alpha * v)
 
-    return params.lam * adaptive_gauss(integrand, 0.0, upper, quad_tol)
+    return params.lam * adaptive_gauss(integrand, 0.0, upper, _INTEGRAL_TOL)
 
 
 def _stencil(V, x1: list[float], x2: list[float]) -> np.ndarray:

@@ -212,7 +212,9 @@ def _run_validation(params: ModelParams, a_values: list[float], b: float) -> lis
     sp = scale_params(params)
     tilt = phi_inverse(params)
     for theta in (sp.q_plus, sp.q_minus, tilt.phi):
-        err = abs(laplace_exponent(theta, sp.drift, sp.lam, sp.alpha) - params.q) / params.q
+        # relative to the size of psi's terms, which cancel down to q
+        size = abs(sp.drift * theta) + abs(sp.lam * theta / (sp.alpha + theta)) + params.q
+        err = abs(laplace_exponent(theta, sp.drift, sp.lam, sp.alpha) - params.q) / size
         if err > 1e-12:
             failures.append(f"psi(theta)=q residual {err:.2e} at theta={theta}")
     if abs(sp.A_plus - sp.A_minus - 1.0) > 1e-12:
@@ -227,7 +229,7 @@ def _run_validation(params: ModelParams, a_values: list[float], b: float) -> lis
         target = 1.0 / (laplace_exponent(theta, sp.drift, sp.lam, sp.alpha) - params.q)
         if abs(val - target) / abs(target) > 1e-6:
             failures.append(f"scale transform off by {abs(val-target)/abs(target):.2e} at theta={theta}")
-    h = 1e-6
+    h = 1e-4 * params.q  # relative, so q - h stays positive
     from dataclasses import replace
 
     sp_hi = scale_params(replace(params, q=params.q + h))
@@ -242,9 +244,12 @@ def _run_validation(params: ModelParams, a_values: list[float], b: float) -> lis
 
 def cmd_validate(args) -> int:
     params = _params_from(args)
-    failures = _run_validation(params, _float_list(args.a_values), args.b)
+    a_values = _float_list(args.a_values)
+    if not a_values:
+        raise ParameterError(["--a-values needs at least one slope"])
+    failures = _run_validation(params, a_values, args.b)
     if args.dump_gammas:
-        barrier = BarrierSpec.reflection(_float_list(args.a_values)[0], args.b, params)
+        barrier = BarrierSpec.reflection(a_values[0], args.b, params)
         _write(sequences_to_csv(sequences_for(barrier, params)), args.dump_gammas)
     if failures:
         for msg in failures:

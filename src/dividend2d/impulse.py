@@ -89,6 +89,11 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _ROUNDING_RTOL = 1e-13
+# absolute tolerances: survival functional, ballot convolution (a hundred
+# times looser, as it sits inside the functional's integrand), claim average
+_V_Q_TOL = 1e-8
+_BALLOT_TOL = 1e-6
+_CLAIM_TOL = 1e-8
 
 
 def _gauss_nodes(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -97,35 +102,62 @@ def _gauss_nodes(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * x, half * w
 
 
-def adaptive_gauss(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    tol: float,
-    n0: int = 16,
-    max_doublings: int = 6,
-) -> float:
-    """Integrate a vectorized smooth integrand by node doubling.
+def _doubling(rule: Callable[[int], float | np.ndarray], tol: float, n0: int = 16):
+    """``(rule(n), n)`` at the first of ``n0, 2*n0, ...`` that has converged.
 
-    Gauss-Legendre at n and 2n nodes until successive estimates differ by
-    less than ``tol`` (absolute) or by ``_ROUNDING_RTOL`` of the estimate,
-    below which rounding in the integrand and the sum decides the
-    difference whatever the node count; raises on non-convergence.
+    Converged means every element moved from the previous rule by at most
+    ``tol`` (absolute) or ``_ROUNDING_RTOL`` of its size, below which
+    rounding decides the difference whatever the node count.  Six
+    doublings at most; raises on non-convergence.
     """
+    n = n0
+    prev = rule(n)
+    for _ in range(6):
+        n *= 2
+        cur = rule(n)
+        d = abs(cur - prev)
+        ok = (d <= tol) | (d <= _ROUNDING_RTOL * abs(cur))
+        # scalar rules give a plain bool, which skips NumPy's dispatch
+        if ok is True or np.all(ok):
+            return cur, n
+        prev = cur
+    raise NonConvergenceError(f"node doubling not within {tol} at {n} nodes")
+
+
+def adaptive_gauss(
+    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, tol: float, n0: int = 16
+) -> float:
+    """Integrate a vectorized smooth integrand by Gauss-Legendre node doubling."""
     if hi <= lo:
         return 0.0
-    x, w = _gauss_nodes(n0, lo, hi)
-    prev = float(np.sum(w * f(x)))
-    n = n0
-    for _ in range(max_doublings):
-        n *= 2
+
+    def rule(n: int) -> float:
         x, w = _gauss_nodes(n, lo, hi)
-        cur = float(np.sum(w * f(x)))
-        if abs(cur - prev) <= max(tol, _ROUNDING_RTOL * abs(cur)):
-            return cur
-        prev = cur
-    raise NonConvergenceError(
-        f"quadrature on [{lo}, {hi}] not within {tol} at {n} nodes"
+        return float(np.sum(w * f(x)))
+
+    return _doubling(rule, tol, n0)[0]
+
+
+def _renewal(
+    p: float,
+    tau_integral: float,
+    spec: ImpulseSpec,
+    params: ModelParams,
+    method: ImpulseMethod,
+) -> ImpulseValuation:
+    """``V1 = A / (1 - p)`` from the cycle discount factor and crossing moment."""
+    if not 0.0 <= p < 1.0:
+        raise NonConvergenceError(f"cycle discount factor p={p} outside [0, 1)")
+    c1, c2, lam, q = params.c1, params.c2, params.lam, params.q
+    A = c1 / (q + lam) - spec.K * p + lam * (c1 - c2) / (q + lam) * tau_integral
+    if A < 0.0:
+        warnings.warn(
+            f"per-cycle payout A={A:.6g} is negative (cost K={spec.K} exceeds"
+            " the expected cycle income); dividends run at a loss",
+            stacklevel=3,
+        )
+    return ImpulseValuation(
+        value=A / (1.0 - p), p=p, A=A, method=method, tau_integral=tau_integral
     )
 
 
@@ -147,15 +179,13 @@ def impulse_v1_high(spec: ImpulseSpec, params: ModelParams) -> ImpulseValuation:
             [f"closed form needs u1 > u2, got ({spec.u1}, {spec.u2}); use the quadrature case"]
         )
     sp = scale_params(params)
-    c1, c2, lam, q, u2 = params.c1, params.c2, params.lam, params.q, spec.u2
+    c2, lam, q, u2 = params.c2, params.lam, params.q, spec.u2
     qp, qm = sp.q_plus, sp.q_minus
     w_u2 = sp.w_q(u2)
 
     # H = int_0^{u2} W(u2 - x) alpha e^{-alpha x} dx * (c2/alpha)
     H = (math.exp(qp * u2) - math.exp(qm * u2)) / (qp - qm)
     p = lam * alpha * H / (c2 * (q + lam) * w_u2)
-    if not 0.0 <= p < 1.0:
-        raise NonConvergenceError(f"cycle discount factor p={p} outside [0, 1)")
 
     # E_pm = int e^{q_pm (u2-x)} alpha e^{-alpha x} dx / alpha,
     # J_pm the same with an extra (u2 - x) factor (from d/dq of exponents)
@@ -170,21 +200,7 @@ def impulse_v1_high(spec: ImpulseSpec, params: ModelParams) -> ImpulseValuation:
         - sp.dq_minus * sp.A_minus * Jm
     )
     tau_integral = sp.dw_dq(u2) / w_u2**2 * (alpha / c2) * H - dnum / w_u2
-
-    A = c1 / (q + lam) - spec.K * p + lam * (c1 - c2) / (q + lam) * tau_integral
-    if A < 0.0:
-        warnings.warn(
-            f"per-cycle payout A={A:.6g} is negative (cost K={spec.K} exceeds"
-            " the expected cycle income); dividends run at a loss",
-            stacklevel=2,
-        )
-    return ImpulseValuation(
-        value=A / (1.0 - p),
-        p=p,
-        A=A,
-        method=ImpulseMethod.CLOSED_FORM_HIGH,
-        tau_integral=tau_integral,
-    )
+    return _renewal(p, tau_integral, spec, params, ImpulseMethod.CLOSED_FORM_HIGH)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +257,6 @@ def ballot_crossing_density(
     v: float,
     tilt: TiltedModel,
     params: ModelParams,
-    conv_tol: float = 1e-6,
 ):
     """Density in z of surviving to R with company 1 at level z.
 
@@ -253,7 +268,7 @@ def ballot_crossing_density(
     variable, so the change to the z variable carries a 1/c1 factor.
 
     Vectorized over z; the convolution uses node-doubling quadrature
-    with absolute tolerance ``conv_tol``.
+    with absolute tolerance ``_BALLOT_TOL``.
     """
     if R <= 0.0:
         raise ValueError(f"horizon R must be positive, got {R}")
@@ -293,18 +308,7 @@ def ballot_crossing_density(
             kern = zs[:, None] / (c1 * t_first)
             return np.sum(weights * kern * f_first * f_entry, axis=1)
 
-        n = 16
-        prev = conv_at(n)
-        for _ in range(6):
-            n *= 2
-            cur = conv_at(n)
-            if float(np.max(np.abs(cur - prev))) <= conv_tol:
-                prev = cur
-                break
-            prev = cur
-        else:
-            raise NonConvergenceError("ballot convolution not converged")
-        conv[has_conv] = prev
+        conv[has_conv] = _doubling(conv_at, _BALLOT_TOL)[0]
 
     out = (dens - conv) / c1
     if np.isscalar(z) or np.asarray(z).ndim == 0:
@@ -312,13 +316,7 @@ def ballot_crossing_density(
     return out
 
 
-def v_q(
-    y: float,
-    spec: ImpulseSpec,
-    tilt: TiltedModel,
-    params: ModelParams,
-    tol: float = 1e-8,
-) -> float:
+def v_q(y: float, spec: ImpulseSpec, tilt: TiltedModel, params: ModelParams) -> float:
     """Tilted probability that the pair survives forever from level y.
 
     Company 2 sits at ``y`` and company 1 at ``y - (u2 - u1)``; survival
@@ -339,12 +337,12 @@ def v_q(
     z_max = y + c2 * R
 
     def integrand(z: np.ndarray) -> np.ndarray:
-        dens = ballot_crossing_density(z, R, v, tilt, params, conv_tol=tol * 1e2)
+        dens = ballot_crossing_density(z, R, v, tilt, params)
         return dens * (1.0 - tilted_ruin_probability(z, tilt, params))
 
     split = min(c1 * R, z_max)
-    total = adaptive_gauss(integrand, 0.0, split, tol / 2.0, n0=24)
-    total += adaptive_gauss(integrand, split, z_max, tol / 2.0, n0=24)
+    total = adaptive_gauss(integrand, 0.0, split, _V_Q_TOL / 2.0, n0=24)
+    total += adaptive_gauss(integrand, split, z_max, _V_Q_TOL / 2.0, n0=24)
     atom = math.exp(-tilt.lambda_q * R)
     total += atom * (1.0 - float(tilted_ruin_probability(z_max, tilt, params)))
     return total
@@ -385,19 +383,16 @@ def _transform_claim_integral(
     return float(np.sum(w * vals * alpha * np.exp(-alpha * x)))
 
 
-def impulse_v1_low(
-    spec: ImpulseSpec,
-    params: ModelParams,
-    dq_step: float | None = None,
-    quad_tol: float = 1e-8,
-) -> ImpulseValuation:
+def impulse_v1_low(spec: ImpulseSpec, params: ModelParams) -> ImpulseValuation:
     """Quadrature valuation for ``u1 <= u2``.
 
     The crossing-time moment has no closed q-derivative here; it is taken
-    by central differences in q of the claim-averaged crossing transform,
-    Richardson-extrapolated once, rebuilding the tilted dynamics at each
-    shifted discount rate.  The same claim-quadrature nodes are reused at
-    every q so the difference quotient is not polluted by node changes.
+    by central differences in q of step ``h = 1e-4 * q`` of the
+    claim-averaged crossing transform, Richardson-extrapolated once,
+    rebuilding the tilted dynamics at each shifted discount rate.  The
+    claim-quadrature node count is fixed by doubling at the base rate and
+    reused at every q so the difference quotient is not polluted by node
+    changes.
     """
     validate_model(params)
     require_exponential(params.claims)
@@ -405,54 +400,21 @@ def impulse_v1_low(
         raise ParameterError(
             [f"quadrature case needs u1 <= u2, got ({spec.u1}, {spec.u2}); use the closed form"]
         )
-    c1, c2, lam, q = params.c1, params.c2, params.lam, params.q
-    if dq_step is None:
-        dq_step = 1e-4 * q
-
+    method = ImpulseMethod.QUADRATURE_LOW
     if spec.u1 == 0.0:
         # every claim ruins company 1 at once: a single half-open cycle
-        A = c1 / (q + lam)
-        return ImpulseValuation(
-            value=A, p=0.0, A=A, method=ImpulseMethod.QUADRATURE_LOW, tau_integral=0.0
-        )
+        return _renewal(0.0, 0.0, spec, params, method)
 
-    # fix the node count by doubling at the base discount rate
-    n_nodes = 16
-    base = _transform_claim_integral(q, spec, params, n_nodes)
-    while n_nodes <= 256:
-        nxt = _transform_claim_integral(q, spec, params, 2 * n_nodes)
-        if abs(nxt - base) <= quad_tol:
-            base = nxt
-            n_nodes *= 2
-            break
-        base = nxt
-        n_nodes *= 2
-    else:
-        raise NonConvergenceError("claim quadrature for p not converged")
-
-    p = lam / (q + lam) * base
-    if not 0.0 <= p < 1.0:
-        raise NonConvergenceError(f"cycle discount factor p={p} outside [0, 1)")
-
-    h = dq_step
+    lam, q = params.lam, params.q
+    base, n_nodes = _doubling(
+        lambda n: _transform_claim_integral(q, spec, params, n), _CLAIM_TOL
+    )
+    h = 1e-4 * q
     at = lambda qq: _transform_claim_integral(qq, spec, params, n_nodes)
     d_h = (at(q + h) - at(q - h)) / (2.0 * h)
     d_h2 = (at(q + h / 2.0) - at(q - h / 2.0)) / h
     tau_integral = -(4.0 * d_h2 - d_h) / 3.0
-
-    A = c1 / (q + lam) - spec.K * p + lam * (c1 - c2) / (q + lam) * tau_integral
-    if A < 0.0:
-        warnings.warn(
-            f"per-cycle payout A={A:.6g} is negative; dividends run at a loss",
-            stacklevel=2,
-        )
-    return ImpulseValuation(
-        value=A / (1.0 - p),
-        p=p,
-        A=A,
-        method=ImpulseMethod.QUADRATURE_LOW,
-        tau_integral=tau_integral,
-    )
+    return _renewal(lam / (q + lam) * base, tau_integral, spec, params, method)
 
 
 def value_impulse(spec: ImpulseSpec, params: ModelParams) -> ImpulseValuation:

@@ -6,7 +6,7 @@ Its q-scale function is a two-exponential combination whose exponents are
 the roots of ``psi(theta) = q``; everything here is closed form,
 including the q-derivatives needed for discounted first-passage moments.
 
-Default drift is ``c2``: the reinsurer's surplus is the one raced against
+The drift is ``c2``: the reinsurer's surplus is the one raced against
 barriers in the impulse model.
 """
 
@@ -96,11 +96,10 @@ class ScaleParams:
         return float(out) if out.ndim == 0 else out
 
 
-def scale_params(params: ModelParams, drift: float | None = None) -> ScaleParams:
-    """Build :class:`ScaleParams` for the given (default: c2) drift rate."""
+def scale_params(params: ModelParams) -> ScaleParams:
+    """Build :class:`ScaleParams` at drift ``c2``."""
     alpha = require_exponential(params.claims).rate
-    if drift is None:
-        drift = params.c2
+    drift = params.c2
     if not params.q > 0.0:
         raise ParameterError([f"q > 0 violated ({params.q})"])
     qp, qm, dqp, dqm = _exponent_roots(params.q, drift, params.lam, alpha)
@@ -138,26 +137,16 @@ class TiltedModel:
     phi: float
     lambda_q: float
     alpha_q: float
-    q: float
-    drift: float
 
 
-def phi_inverse(params: ModelParams, drift: float | None = None) -> TiltedModel:
+def phi_inverse(params: ModelParams) -> TiltedModel:
     """Right inverse of the Laplace exponent at q, with tilted rates.
 
     For this two-exponential model the inverse coincides with the
     positive root ``q_plus`` of ``psi(theta) = q``.
     """
     alpha = require_exponential(params.claims).rate
-    if drift is None:
-        drift = params.c2
     if not params.q > 0.0:
         raise ParameterError([f"q > 0 violated ({params.q})"])
-    qp, _, _, _ = _exponent_roots(params.q, drift, params.lam, alpha)
-    return TiltedModel(
-        phi=qp,
-        lambda_q=params.lam * alpha / (alpha + qp),
-        alpha_q=alpha + qp,
-        q=params.q,
-        drift=drift,
-    )
+    qp, _, _, _ = _exponent_roots(params.q, params.c2, params.lam, alpha)
+    return TiltedModel(phi=qp, lambda_q=params.lam * alpha / (alpha + qp), alpha_q=alpha + qp)

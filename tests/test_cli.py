@@ -7,7 +7,7 @@ import pytest
 
 import dividend2d
 
-from dividend2d import NonConvergenceError
+from dividend2d import NonConvergenceError, ScaleParams
 from dividend2d.cli import main
 
 
@@ -104,6 +104,30 @@ def test_validate_passes(capsys):
     rc, out = run(capsys, ["validate"])
     assert rc == 0
     assert "all checks passed" in out
+
+
+@pytest.mark.parametrize("q", ["1e-3", "1e-5", "1e-6"])
+def test_validate_passes_at_small_q(capsys, q):
+    # the root residual is scaled by the size of psi's terms, not by q, and
+    # the dw_dq difference step by q, so q - h stays a valid discount rate
+    rc, out = run(capsys, ["validate", "--q", q])
+    assert rc == 0, out
+    assert "all checks passed" in out
+
+
+@pytest.mark.parametrize("q", ["0.1", "1e-6"])
+def test_validate_catches_a_wrong_dw_dq(capsys, monkeypatch, q):
+    closed = ScaleParams.dw_dq
+    monkeypatch.setattr(ScaleParams, "dw_dq", lambda self, x: 1.001 * closed(self, x))
+    rc, out = run(capsys, ["validate", "--q", q])
+    assert rc == 1
+    assert "dw_dq mismatch" in out
+
+
+def test_validate_rejects_empty_slope_list(capsys):
+    rc, out = run(capsys, ["validate", "--a-values", ""])
+    assert rc == 2
+    assert "--a-values" in out
 
 
 def test_config_file_and_overrides(tmp_path, capsys):

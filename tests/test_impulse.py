@@ -12,6 +12,7 @@ from dividend2d import (
     ImpulseMethod,
     ImpulseSpec,
     ModelParams,
+    NonConvergenceError,
     ParameterError,
     SimConfig,
     ballot_crossing_density,
@@ -26,7 +27,7 @@ from dividend2d import (
     v_q,
     value_impulse,
 )
-from dividend2d.impulse import _leggauss
+from dividend2d.impulse import _doubling, _leggauss, adaptive_gauss
 
 # frozen from the finite-difference-of-quadrature oracle (h=1e-6, u2=2)
 TAU_INTEGRAL_U2_2 = 0.16257591378687763
@@ -175,6 +176,45 @@ def test_gauss_nodes_cached_read_only():
         x[0] = 0.0
     with pytest.raises(ValueError):
         w[0] = 0.0
+
+
+def test_adaptive_gauss_known_integral():
+    exact = math.e - 1.0
+    assert abs(adaptive_gauss(np.exp, 0.0, 1.0, 1e-14) - exact) <= 1e-14
+    assert adaptive_gauss(np.exp, 1.0, 1.0, 1e-14) == 0.0
+
+    # 16 nodes already integrate e^x to rounding, so the first doubling stops
+    def rule(n):
+        x, w = _leggauss(n)
+        return 0.5 * float(np.sum(w * np.exp(0.5 + 0.5 * x)))
+
+    est, n = _doubling(rule, 1e-14)
+    assert n == 32
+    assert abs(est - exact) <= 1e-14
+
+
+def test_doubling_waits_for_every_element():
+    # element 0 is exact from the start; element 1 moves by 1/n between the
+    # rules at n/2 and n, which is within 5e-3 first at n = 256
+    calls = []
+
+    def rule(n):
+        calls.append(n)
+        return np.array([1.0, 1.0 + 1.0 / n])
+
+    est, n = _doubling(rule, 5e-3)
+    assert n == 256 and calls == [16, 32, 64, 128, 256]
+    assert est[0] == 1.0 and est[1] == 1.0 + 1.0 / 256
+
+
+def test_adaptive_gauss_raises_on_a_kink():
+    # |x - 1/3| has a kink inside (0, 1): Gauss-Legendre converges only
+    # algebraically and cannot reach 1e-15 in six doublings
+    kinked = lambda x: np.abs(x - 1.0 / 3.0)
+    with pytest.raises(NonConvergenceError, match="1024 nodes"):
+        adaptive_gauss(kinked, 0.0, 1.0, 1e-15)
+    # a reachable tolerance on the same integrand (exact value 5/18) passes
+    assert abs(adaptive_gauss(kinked, 0.0, 1.0, 1e-5) - 5.0 / 18.0) < 1e-4
 
 
 def test_mixture_against_sampled_distribution(params, tilt):
