@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import replace
+
+import numpy as np
 
 from . import tables
 from .barrier import boundary_residual, pide_residual, v1_barrier
@@ -20,7 +22,7 @@ from .gammas import (
     sequences_for,
     sequences_to_csv,
 )
-from .impulse import ImpulseMethod, ImpulseSpec, value_impulse
+from .impulse import ImpulseMethod, ImpulseSpec, adaptive_gauss, value_impulse
 from .model import (
     BarrierSpec,
     ExponentialClaims,
@@ -52,6 +54,8 @@ def load_params(config_path: str | None, overrides: dict[str, float | None]) -> 
     if config_path is not None:
         with open(config_path) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ParameterError(["config must be a JSON object with keys c1, c2, lambda, alpha, q"])
         unknown = set(doc) - _CONFIG_KEYS
         if unknown:
             raise ParameterError([f"unknown config keys: {sorted(unknown)}"])
@@ -187,7 +191,7 @@ def _run_validation(params: ModelParams, a_values: list[float], b: float) -> lis
     # exponent-family invariants
     for a in a_values:
         barrier = BarrierSpec.reflection(a, b, params)
-        seqs = sequences_for(barrier, params, max_terms=200, tail_tol=1e-12, min_terms=60)
+        seqs = sequences_for(barrier, params, min_terms=60)
         bad = invariant_violations(seqs, params)
         bad += asymptotic_ratio_violations(seqs, params, k=40)
         failures += [f"gamma a={a}: {msg}" for msg in bad]
@@ -219,19 +223,13 @@ def _run_validation(params: ModelParams, a_values: list[float], b: float) -> lis
             failures.append(f"psi(theta)=q residual {err:.2e} at theta={theta}")
     if abs(sp.A_plus - sp.A_minus - 1.0) > 1e-12:
         failures.append("A_plus - A_minus != 1")
-    from scipy.integrate import quad
-
     for shift in (0.5, 1.0, 2.0):
         theta = tilt.phi + shift
-        val, _ = quad(
-            lambda x: math.exp(-theta * x) * sp.w_q(x), 0.0, 200.0, epsabs=1e-13, limit=400
-        )
+        val = adaptive_gauss(lambda x: np.exp(-theta * x) * sp.w_q(x), 0.0, 200.0, 1e-12)
         target = 1.0 / (laplace_exponent(theta, sp.drift, sp.lam, sp.alpha) - params.q)
         if abs(val - target) / abs(target) > 1e-6:
             failures.append(f"scale transform off by {abs(val-target)/abs(target):.2e} at theta={theta}")
     h = 1e-4 * params.q  # relative, so q - h stays positive
-    from dataclasses import replace
-
     sp_hi = scale_params(replace(params, q=params.q + h))
     sp_lo = scale_params(replace(params, q=params.q - h))
     for x in (0.5, 2.0, 10.0):

@@ -37,6 +37,9 @@ from .model import (
 #: per-step fields of both families, in the order of the ``GammaSequences`` arrays
 _FIELDS = ("g1", "g2", "g3", "D", "D_scaled", "disc_g1", "disc_g2")
 
+#: relative tolerance of the root, linkage and seed checks in ``invariant_violations``
+_INVARIANT_RTOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class GammaSequences:
@@ -302,9 +305,7 @@ def sequences_to_csv(seqs: GammaSequences) -> str:
     return out.getvalue()
 
 
-def invariant_violations(
-    seqs: GammaSequences, params: ModelParams, rel_tol: float = 1e-9
-) -> list[str]:
+def invariant_violations(seqs: GammaSequences, params: ModelParams) -> list[str]:
     """Check sign, ordering, monotonicity, linkage and root residuals.
 
     Returns human-readable violation strings; empty means all hold.
@@ -326,7 +327,7 @@ def invariant_violations(
                 out.append(f"{name}[{k}]: non-positive discriminant")
             for g in (s.g1, s.g3):
                 r = sqeq_residual(g, s.g2, params)
-                if r > rel_tol:
+                if r > _INVARIANT_RTOL:
                     out.append(f"{name}[{k}]: pair-quadratic residual {r:.2e}")
             if k > 0:
                 p = steps[k - 1]
@@ -336,10 +337,10 @@ def invariant_violations(
                     out.append(f"{name}[{k}]: g3 not decreasing")
                 link = (p.g3 - a * p.g2) - (s.g1 - a * s.g2)
                 scale = max(abs(p.g3), abs(a * p.g2), abs(s.g1), 1.0)
-                if abs(link) / scale > rel_tol:
+                if abs(link) / scale > _INVARIANT_RTOL:
                     out.append(f"{name}[{k}]: linkage residual {abs(link)/scale:.2e}")
         seed_gap = abs(steps[0].g1 - slope0 * steps[0].g2)
-        if seed_gap > rel_tol * max(1.0, abs(steps[0].g1)):
+        if seed_gap > _INVARIANT_RTOL * max(1.0, abs(steps[0].g1)):
             out.append(f"{name}[0]: seed identity g1 = slope*g2 off by {seed_gap:.2e}")
     if not seqs.a_prime < 0.0:
         out.append(f"a_prime >= 0 ({seqs.a_prime})")

@@ -150,10 +150,6 @@ class Reserves:
     u1: float
     u2: float
 
-    @property
-    def in_quadrant(self) -> bool:
-        return min(self.u1, self.u2) >= 0.0
-
 
 @dataclass(frozen=True)
 class BarrierSpec:
@@ -195,10 +191,10 @@ class BarrierSpec:
     def line_height(self, u1: float) -> float:
         return self.b - self.a * u1
 
-    def is_reflection(self, params: ModelParams, tol: float = 1e-12) -> bool:
+    def is_reflection(self, params: ModelParams) -> bool:
         return (
-            abs(self.delta1 - (params.c1 + 1.0)) <= tol
-            and abs(self.delta2 - (params.c2 - self.a)) <= tol
+            abs(self.delta1 - (params.c1 + 1.0)) <= 1e-12
+            and abs(self.delta2 - (params.c2 - self.a)) <= 1e-12
         )
 
 

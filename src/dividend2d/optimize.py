@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .barrier import AnalyticDomainError, v1_barrier
-from .gammas import sequences_for
 from .model import (
     BarrierSpec,
     ModelParams,
@@ -23,6 +22,8 @@ from .model import (
 )
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: points per axis of the seed grid that starts a refinement
+_SEED_GRID = 5
 
 SWEEP_HEADER = "a,b,u1,u2,v1,terms,tail"
 
@@ -48,12 +49,10 @@ class SweepResult:
     argmax_value: float
 
 
-def _evaluate_cell(
-    u: Reserves, a: float, b: float, params: ModelParams, tol: float
-) -> SweepCell:
+def _evaluate_cell(u: Reserves, a: float, b: float, params: ModelParams) -> SweepCell:
     try:
         barrier = BarrierSpec.reflection(a, b, params)
-        val = v1_barrier(u, barrier, params, tol=tol, sequences=sequences_for(barrier, params))
+        val = v1_barrier(u, barrier, params)
         return SweepCell(a, b, u.u1, u.u2, val.value, val.terms_used, val.tail_estimate)
     except (ParameterError, AnalyticDomainError, UnsupportedDistributionError) as exc:
         return SweepCell(a, b, u.u1, u.u2, None, 0, math.nan, error=str(exc))
@@ -64,16 +63,13 @@ def sweep_barrier(
     a_values: list[float],
     b_values: list[float],
     params: ModelParams,
-    tol: float = 1e-12,
 ) -> SweepResult:
     """Evaluate the full (a, b) grid in row-major order.
 
     Invalid cells are recorded with their error and skipped for the
     argmax; the sweep itself never aborts on a cell.
     """
-    cells = [
-        _evaluate_cell(u, a, b, params, tol) for a in a_values for b in b_values
-    ]
+    cells = [_evaluate_cell(u, a, b, params) for a in a_values for b in b_values]
     best = None
     best_val = -math.inf
     for c in cells:
@@ -142,8 +138,6 @@ def refine_barrier(
     a_range: tuple[float, float],
     b_range: tuple[float, float],
     budget: int = 200,
-    tol: float = 1e-12,
-    seed_grid: int = 5,
 ) -> RefineResult:
     """Coordinate-descent golden-section refinement inside the given ranges.
 
@@ -153,19 +147,19 @@ def refine_barrier(
     """
 
     def objective(a: float, b: float) -> float:
-        cell = _evaluate_cell(u, a, b, params, tol)
+        cell = _evaluate_cell(u, a, b, params)
         return -math.inf if cell.v1 is None else cell.v1
 
     a_lo, a_hi = a_range
     b_lo, b_hi = b_range
-    a_seed = [a_lo + (a_hi - a_lo) * i / (seed_grid - 1) for i in range(seed_grid)]
-    b_seed = [b_lo + (b_hi - b_lo) * i / (seed_grid - 1) for i in range(seed_grid)]
-    seed = sweep_barrier(u, a_seed, b_seed, params, tol)
+    a_seed = [a_lo + (a_hi - a_lo) * i / (_SEED_GRID - 1) for i in range(_SEED_GRID)]
+    b_seed = [b_lo + (b_hi - b_lo) * i / (_SEED_GRID - 1) for i in range(_SEED_GRID)]
+    seed = sweep_barrier(u, a_seed, b_seed, params)
     if seed.argmax is None:
         raise ParameterError(["no valid cell in the refinement seed grid"])
     a_best, b_best = seed.argmax
     f_best = seed.argmax_value
-    evals = seed_grid * seed_grid
+    evals = _SEED_GRID * _SEED_GRID
 
     for _ in range(6):  # alternating sweeps; budget is the binding limit
         if evals >= budget:

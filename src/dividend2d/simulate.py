@@ -24,6 +24,7 @@ from .model import (
     ON_LINE_TOL,
     BarrierSpec,
     ModelParams,
+    ParameterError,
     Reserves,
     validate_barrier,
     validate_model,
@@ -62,6 +63,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError(f"n_paths >= 1 required, got {self.n_paths}")
+        if self.max_time is not None and not self.max_time > 0.0:
+            raise ValueError(f"max_time > 0 required, got {self.max_time}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if any(n < 1 for n in self.moment_orders):
@@ -89,6 +92,13 @@ def default_max_time(params: ModelParams, payout_rate: float, bias_tol: float = 
     Remaining discounted payout after T is below e^{-qT} * rate / q.
     """
     return math.log(payout_rate / (params.q * bias_tol)) / params.q
+
+
+def _check_start(u: Reserves) -> None:
+    # the kernel tests ruin only after a claim, so a start outside the
+    # quadrant would drift back in instead of counting as ruined
+    if not (0.0 <= u.u1 < math.inf and 0.0 <= u.u2 < math.inf):
+        raise ParameterError([f"start needs finite u1, u2 >= 0, got ({u.u1}, {u.u2})"])
 
 
 def _path_key(master_seed: int, index: int) -> np.ndarray:
@@ -352,6 +362,7 @@ def _run_barrier_path(
 ) -> PathResult:
     """One path as a block of one, drawing further chunks from ``rng``
     until it ruins or is censored (each rerun replays the same prefix)."""
+    _check_start(u)
     ts, xs = _draw_chunk(rng, params)
     while True:
         if trace is not None:
@@ -386,14 +397,13 @@ def trace_refracted_path(
     params: ModelParams,
     seed: int,
     max_time: float | None = None,
-    max_events: int = 100_000,
 ) -> list[tuple[float, float, float, str]]:
     """Event log (t, y1, y2, event) of a single path, for debugging."""
     if max_time is None:
         max_time = default_max_time(params, barrier.delta0)
     rows: list = []
     _run_barrier_path(u, barrier, params, _path_rng(seed, 0), max_time, trace=rows)
-    return [(t, y1, y2, TRACE_EVENTS[ev]) for t, y1, y2, ev in rows[:max_events]]
+    return [(t, y1, y2, TRACE_EVENTS[ev]) for t, y1, y2, ev in rows]
 
 
 def simulate_impulse_path(
@@ -501,6 +511,7 @@ def estimate_barrier_moments(
     """
     validate_model(params)
     validate_barrier(barrier, params)
+    _check_start(u)
     max_time = cfg.max_time if cfg.max_time is not None else default_max_time(params, barrier.delta0)
     return _accumulate(
         cfg, barrier.delta0, params, _barrier_results(u, barrier, params, cfg, max_time)
@@ -511,7 +522,6 @@ def estimate_impulse_moments(
     spec: ImpulseSpec,
     params: ModelParams,
     cfg: SimConfig,
-    max_cycles: int = 1_000_000,
 ) -> DividendEstimate:
     """Moments of D for the impulse control.
 
@@ -520,7 +530,7 @@ def estimate_impulse_moments(
     """
     validate_model(params)
     results = (
-        simulate_impulse_path(spec, params, rng, max_cycles)
+        simulate_impulse_path(spec, params, rng)
         for rng in _path_rngs(cfg.master_seed, range(cfg.n_paths))
     )
     return _accumulate(cfg, params.c1, params, ((r.D, r.sigma, r.censored) for r in results))

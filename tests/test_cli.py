@@ -124,6 +124,15 @@ def test_validate_catches_a_wrong_dw_dq(capsys, monkeypatch, q):
     assert "dw_dq mismatch" in out
 
 
+@pytest.mark.parametrize("q", ["0.1", "1e-6"])
+def test_validate_catches_a_wrong_scale_function(capsys, monkeypatch, q):
+    closed = ScaleParams.w_q
+    monkeypatch.setattr(ScaleParams, "w_q", lambda self, x: 1.001 * closed(self, x))
+    rc, out = run(capsys, ["validate", "--q", q])
+    assert rc == 1
+    assert "scale transform off by 1.00e-03" in out
+
+
 def test_validate_rejects_empty_slope_list(capsys):
     rc, out = run(capsys, ["validate", "--a-values", ""])
     assert rc == 2
@@ -158,6 +167,15 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys" in out
 
 
+@pytest.mark.parametrize("doc", ["5", "null", "[1]"])
+def test_config_that_is_not_an_object(tmp_path, capsys, doc):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(doc)
+    rc, out = run(capsys, ["table", "1", "--config", str(cfg)])
+    assert rc == 2
+    assert out.startswith("error: config must be a JSON object")
+
+
 def test_nonconvergence_exit_code(capsys, monkeypatch):
     import dividend2d.cli as cli
 
@@ -178,6 +196,17 @@ def test_simulate_seed_out_of_range_is_bad_input(capsys):
         assert out.startswith("error: master_seed must lie in [0, 2**64)")
 
 
+@pytest.mark.parametrize("u1", ["-1", "nan"])
+def test_simulate_barrier_start_outside_the_quadrant(tmp_path, capsys, u1):
+    trace = tmp_path / "path.csv"
+    rc, out = run(capsys, ["simulate", "barrier", "--paths", "10", "--seed", "1",
+                           "--u1", u1, "--u2", "2", "--a", "0.1", "--b", "14",
+                           "--trace", str(trace)])
+    assert rc == 2
+    assert out.startswith("error: start needs finite u1, u2 >= 0")
+    assert not trace.exists()
+
+
 _SCIPY_FREE = """
 import sys
 from dividend2d.cli import main
@@ -193,6 +222,7 @@ for argv in (
     ["simulate", "barrier", "--paths", "64", "--seed", "1", *barrier],
     ["simulate", "impulse", "--paths", "64", "--seed", "1", *impulse],
     ["table", "1"],
+    ["validate"],
 ):
     assert main(argv) == 0, argv
 bar = BarrierSpec.reflection(0.1, 14.0, TABLE_PARAMS)
@@ -203,8 +233,8 @@ print(loaded_by_import, [m for m in sys.modules if m.split(".")[0] == "scipy"])
 
 
 def test_scipy_stays_unloaded_off_the_quadrature_route():
-    # only the u1 <= u2 impulse quadrature and validate need SciPy; every
-    # other command, and both residual checks, start and run without it
+    # only the u1 <= u2 impulse quadrature needs SciPy; every other
+    # command, and both residual checks, start and run without it
     src = str(Path(dividend2d.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + _SCIPY_FREE],

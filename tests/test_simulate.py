@@ -9,6 +9,7 @@ from dividend2d import (
     ExponentialClaims,
     ImpulseSpec,
     ModelParams,
+    ParameterError,
     Reserves,
     SimConfig,
     estimate_barrier_moments,
@@ -241,3 +242,21 @@ def test_seed_outside_the_key_range_is_rejected():
         with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\*\*64\)"):
             SimConfig(n_paths=10, master_seed=seed)
     assert SimConfig(n_paths=10, master_seed=2**64 - 1).master_seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("max_time", [-5.0, 0.0, math.nan])
+def test_horizon_must_be_positive(max_time):
+    # a horizon at or before t = 0 censored every path and reported mean 0
+    with pytest.raises(ValueError, match="max_time > 0 required"):
+        SimConfig(n_paths=10, master_seed=1, max_time=max_time)
+
+
+@pytest.mark.parametrize("u", [Reserves(-1.0, 2.0), Reserves(1.0, -0.5), Reserves(math.nan, 2.0),
+                               Reserves(1.0, math.inf)])
+def test_barrier_start_outside_the_quadrant_is_rejected(params, barrier, u):
+    # ruin is tested only after a claim, so a negative start used to drift
+    # back into the quadrant and collect dividends
+    with pytest.raises(ParameterError, match="start needs finite u1, u2 >= 0"):
+        estimate_barrier_moments(u, barrier, params, SimConfig(n_paths=10, master_seed=1))
+    with pytest.raises(ParameterError, match="start needs finite u1, u2 >= 0"):
+        simulate_refracted_path(u, barrier, params, _path_rng(1, 0))
