@@ -10,6 +10,7 @@ whose size should be dominated by the stencil error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ from .model import (
     ON_LINE_TOL,
     BarrierSpec,
     ModelParams,
+    ParameterError,
     Region,
     Reserves,
     classify_point,
@@ -111,6 +113,8 @@ def v1_barrier(
     """
     validate_model(params)
     validate_barrier(barrier, params)
+    if not 0.0 < tol < math.inf:
+        raise ParameterError([f"0 < tol < inf violated ({tol})"])
     _check_domain(u, barrier, params)
     alpha = require_exponential(params.claims).rate
     seqs = sequences if sequences is not None else sequences_for(barrier, params)

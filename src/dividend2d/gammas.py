@@ -9,9 +9,18 @@ recursion is tied together by the linkage ``g3[k] - a*g2[k] =
 g1[k+1] - a*g2[k+1]`` (same slope ``a`` for both families), which makes
 the on-barrier flux sum telescope.
 
+The triples depend on the slope ``a`` and the model only, so each slope's
+families are built once by the scalar recursion and cached as arrays,
+grown only when a barrier needs more terms.  A barrier's height ``b`` and
+payout rate ``delta0`` enter through the two seeds of the coefficients
+alone: each barrier takes a cumulative product of the slope's step
+factors from its seeds, then cumulative corner sums to find its
+truncation point and the matching constant E.
+
 Raw ``D_k`` coefficients underflow for large k because they carry
 ``exp(-g2*b)``; all arithmetic therefore runs on the rescaled
-``D_scaled = D * exp(g2*b)``, which decays to zero instead.
+``D_scaled = D * exp(g2*b)``, which decays to zero instead, and raw
+``D`` is derived from it only for diagnostics.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from .model import (
 )
 
 
-#: per-step fields of both families, in the order of the ``GammaSequences`` arrays
+#: per-step fields of the ``steps`` and ``primed_steps`` records
 _FIELDS = ("g1", "g2", "g3", "D", "D_scaled", "disc_g1", "disc_g2")
 
 #: relative tolerance of the root, linkage and seed checks in ``invariant_violations``
@@ -48,14 +57,13 @@ class GammaSequences:
     Each per-step field is a read-only ``(2, terms)`` array: row 0 holds
     the family seeded at the barrier slope ``a``, row 1 the primed family
     seeded at ``a_prime``.  ``D_scaled = D * exp(g2 * b)`` is the
-    representation used in series sums; ``D`` itself may underflow to 0
-    at large k (kept for diagnostics only).
+    representation used in series sums; the raw ``D`` is derived from it
+    on access and may underflow to 0 at large k (diagnostics only).
     """
 
     g1: np.ndarray
     g2: np.ndarray
     g3: np.ndarray
-    D: np.ndarray
     D_scaled: np.ndarray
     disc_g1: np.ndarray
     disc_g2: np.ndarray
@@ -64,6 +72,19 @@ class GammaSequences:
     a: float
     b: float
     tail_ratio: float  # achieved relative size of the last E-sum terms
+
+    @property
+    def D(self) -> np.ndarray:
+        """Raw coefficients ``D_scaled * exp(-g2 * b)``, read-only ``(2, terms)``."""
+        b = self.b
+        d = np.array(
+            [
+                [s * math.exp(-g2 * b) for s, g2 in zip(scaled, g2s)]
+                for scaled, g2s in zip(self.D_scaled.tolist(), self.g2.tolist())
+            ]
+        )
+        d.flags.writeable = False
+        return d
 
     @property
     def steps(self) -> np.recarray:
@@ -197,13 +218,92 @@ def advance_gamma2(prev, slope: float, params: ModelParams) -> float:
     return _step((prev.g1, prev.g2, prev.g3), slope, params)[1]
 
 
-def _flux(g: float, g2: float, barrier: BarrierSpec, params: ModelParams) -> float:
-    """Coefficient of a series term in the on-barrier flux condition."""
-    return g * (params.c1 + 1.0) + g2 * (params.c2 - barrier.a)
+class _Slope:
+    """Both families at one slope ``a``, grown step by step on demand.
+
+    ``data`` is a read-only ``(8, 2, n)`` array: per field, family and
+    step it holds ``g1, g2, g3, disc_g1, disc_g2``, the ``D_scaled`` step
+    factor ``rho[k-1] * flux(g3[k-1], g2[k-1]) / flux(g1[k], g2[k])``
+    (1 at k = 0, where a barrier puts its seed), ``g1 - g3`` and
+    ``g1 + g2 + alpha``.  Here ``rho = (g3 + g2 + alpha) / (g1 + g2 +
+    alpha)`` and ``flux(g, g2) = g*(c1 + 1) + g2*(c2 - a)`` is the
+    coefficient of a series term in the on-barrier flux condition.
+
+    Growth runs the corner sums of the barrier that first asked for the
+    slope, so the arrays end where that barrier's sums converge.  Its
+    terms are its seeds times products of these fields, so the seeds
+    cancel out of the tail ratio: the same length suits every barrier of
+    the slope, up to rounding.
+    """
+
+    def __init__(self, a: float, params: ModelParams):
+        self.a, self.params = a, params
+        self.a_prime = (a - params.c2) / (params.c1 + 1.0)
+        self.data = np.empty((8, 2, 0))
+        self.flux0 = self.g2_primed0 = math.nan  # seed inputs, set with step 0
+        self.error: str | None = None  # message of the step that failed, if one did
+        self.sums = (0.0, 0.0)  # corner sums of the first barrier at the last step held
+        self.tail = math.inf  # their tail ratio there, from k = 1
+        self._last: tuple = ()  # (g1, g2, g3) of both families at the last step held
+        self._carry: list = []  # per family: rho * flux(g3, g2) and D_scaled there
+
+    @property
+    def n(self) -> int:
+        return self.data.shape[2]
+
+    def grow(self, need: int, tail_tol: float, max_terms: int, barrier: BarrierSpec) -> None:
+        """Step until ``need`` steps are held and the tail ratio is below
+        ``tail_tol``, until ``max_terms`` are held, or until a step fails.
+
+        ``barrier`` seeds the corner sums when the slope has no steps yet.
+        """
+        a, params = self.a, self.params
+        alpha = require_exponential(params.claims).rate
+        c1p, c2a = params.c1 + 1.0, params.c2 - a
+        last, carry, (sum0, sum1), tail = self._last, self._carry, self.sums, self.tail
+        flat: list[float] = []
+        n = self.n
+        while n < max_terms and not (n >= need and tail < tail_tol):
+            try:
+                if n:
+                    steps = (_step(last[0], a, params), _step(last[1], a, params))
+                else:
+                    steps = (_step(None, a, params), _step(None, self.a_prime, params))
+            except NonConvergenceError as exc:
+                self.error = str(exc)
+                break
+            if not n:
+                self.flux0 = steps[0][0] * c1p + steps[0][1] * c2a
+                self.g2_primed0 = steps[1][1]
+                seeds = (barrier.delta0 / self.flux0, math.exp(self.g2_primed0 * float(barrier.b)))
+                carry = [(0.0, seed) for seed in seeds]
+            terms, next_carry = [], []
+            for (g1, g2, g3, disc_g1, disc_g2), (rho_flux, scaled) in zip(steps, carry):
+                g1_g3, g1_g2_alpha = g1 - g3, g1 + g2 + alpha
+                factor = rho_flux / (g1 * c1p + g2 * c2a) if n else 1.0
+                scaled *= factor
+                terms.append(scaled * g1_g3 / g1_g2_alpha)
+                next_carry.append(((g3 + g2 + alpha) / g1_g2_alpha * (g3 * c1p + g2 * c2a), scaled))
+                flat += (g1, g2, g3, disc_g1, disc_g2, factor, g1_g3, g1_g2_alpha)
+            sum0, sum1 = sum0 + terms[0], sum1 + terms[1]
+            if n:
+                tail = max(
+                    abs(terms[0]) / max(abs(sum0), 1e-300), abs(terms[1]) / max(abs(sum1), 1e-300)
+                )
+            last, carry = (steps[0][:3], steps[1][:3]), next_carry
+            n += 1
+        if flat:
+            new = np.fromiter(flat, float, len(flat)).reshape(-1, 2, 8).transpose(2, 1, 0)
+            data = np.concatenate((self.data, new), axis=2)
+            data.flags.writeable = False
+            self.data, self._last, self._carry = data, last, carry
+            self.sums, self.tail = (sum0, sum1), tail
 
 
-def _rho(g1: float, g2: float, g3: float, alpha: float) -> float:
-    return (g3 + g2 + alpha) / (g1 + g2 + alpha)
+@lru_cache(maxsize=128)
+def _slope(a: float, params: ModelParams) -> _Slope:
+    """The families at slope ``a``, shared by every barrier of that slope."""
+    return _Slope(a, params)
 
 
 def build_sequences(
@@ -215,71 +315,79 @@ def build_sequences(
 ) -> GammaSequences:
     """Construct both families plus E, truncated by the corner-sum tails.
 
-    Both families advance in lockstep, and each step adds its term to
-    the corner sums at (0, b), the numerator and denominator of E.  The
-    build stops once the k-th term of both sums drops below ``tail_tol``
-    relative to the running totals, but never before ``min_terms``.  E
-    then zeroes the value at (0, b) by construction, up to the shared
-    truncation.
+    The triples come from the slope's cached families; the barrier sets
+    only the two seeds of the rescaled coefficients.  These follow
+    ``D_scaled[k+1] = D_scaled[k] * rho[k] * flux(g3[k], g2[k]) /
+    flux(g1[k+1], g2[k+1])``, a cumulative product of the slope's step
+    factors.  The base family starts from ``D0 = delta0 / flux(g1, g2)``,
+    the primed family from ``D0 = 1``, that is ``D_scaled = exp(g2*b)``.
 
-    The rescaled coefficients follow ``D_scaled[k+1] = D_scaled[k] *
-    rho[k] * flux(g3[k], g2[k]) / flux(g1[k+1], g2[k+1])``.  The base
-    family starts from ``D0 = delta0 / flux(g1, g2)``, the primed family
-    from ``D0 = 1``, that is ``D_scaled = exp(g2*b)``.
+    Each step adds its term to the corner sums at (0, b), the numerator
+    and denominator of E.  The sequences end at the first step whose
+    term in both sums is below ``tail_tol`` relative to the running
+    totals, but never before ``min_terms``.  E then zeroes the value at
+    (0, b) by construction, up to the shared truncation.
     """
     validate_model(params)
     validate_barrier(barrier, params)
-    alpha = require_exponential(params.claims).rate
+    require_exponential(params.claims)
     if not barrier.is_reflection(params):
         raise ParameterError(
             ["series solution needs the reflection drift delta = (c1 + 1, c2 - a)"]
         )
     a, b = float(barrier.a), float(barrier.b)
-    a_prime = (a - params.c2) / (params.c1 + 1.0)
     if not 2 <= min_terms <= max_terms:
         raise ParameterError([f"need 2 <= min_terms <= max_terms, got {min_terms}, {max_terms}"])
 
-    families: tuple[list, list] = ([], [])  # rows in _FIELDS order
-    sums = [0.0, 0.0]  # corner sums: numerator and denominator of E
-    tail = math.inf
-    for k in range(max_terms):
-        terms = []
-        for f, (rows, seed_slope) in enumerate(zip(families, (a, a_prime))):
-            if k == 0:
-                g1, g2, g3, disc_g1, disc_g2 = _step(None, seed_slope, params)
-                if f == 0:
-                    scaled = barrier.delta0 / _flux(g1, g2, barrier, params)
-                else:
-                    scaled = math.exp(g2 * b)
-            else:
-                p1, p2, p3, _, p_scaled, _, _ = rows[-1]
-                g1, g2, g3, disc_g1, disc_g2 = _step((p1, p2, p3), a, params)
-                scaled = p_scaled * (
-                    _rho(p1, p2, p3, alpha)
-                    * _flux(p3, p2, barrier, params)
-                    / _flux(g1, g2, barrier, params)
-                )
-            d_raw = scaled * math.exp(-g2 * b)  # underflows to 0 at large k
-            rows.append((g1, g2, g3, d_raw, scaled, disc_g1, disc_g2))
-            terms.append(scaled * (g1 - g3) / (g1 + g2 + alpha))
-            sums[f] += terms[f]
-        if k >= 1:
-            tail = max(abs(t) / max(abs(s), 1e-300) for t, s in zip(terms, sums))
-            if tail < tail_tol and k + 1 >= min_terms:
-                break
-    else:
-        raise NonConvergenceError(
-            f"corner sums not converged in {max_terms} terms (tail ratio {tail:.2e})"
-        )
-    data = np.array(families, dtype=float).transpose(2, 0, 1).copy()  # (field, family, k)
-    data.flags.writeable = False
+    slope = _slope(a, params)
+    fresh = slope.n == 0  # then the slope grows on this barrier's own corner sums
+    need = min_terms
+    while True:
+        if slope.n < need:
+            slope.grow(need, tail_tol, max_terms, barrier)
+        data = slope.data
+        n = min(data.shape[2], max_terms)
+        factors = data[5, :, :n].copy()
+        factors[0, 0] = barrier.delta0 / slope.flux0
+        factors[1, 0] = math.exp(slope.g2_primed0 * b)
+        scaled = factors.cumprod(axis=1)
+        if fresh and n >= min_terms and slope.tail < tail_tol:
+            # the slope grew on this barrier's corner sums, which stopped at its cut
+            k, (sum0, sum1), tail_k = n - 1, slope.sums, slope.tail
+            break
+        terms = scaled * data[6, :, :n] / data[7, :, :n]
+        sums = terms.cumsum(axis=1)
+        ratio = np.abs(terms) / np.maximum(np.abs(sums), 1e-300)
+        tail = np.where(ratio[1] > ratio[0], ratio[1], ratio[0])  # max(), first on ties
+        hits = (tail[min_terms - 1 :] < tail_tol).nonzero()[0]
+        if hits.size:
+            k = min_terms - 1 + int(hits[0])
+            (sum0, sum1), tail_k = sums[:, k], tail[k]
+            break
+        if n >= max_terms:
+            raise NonConvergenceError(
+                f"corner sums not converged in {max_terms} terms (tail ratio {tail[-1]:.2e})"
+            )
+        if slope.error is not None:
+            raise NonConvergenceError(slope.error)
+        need, fresh = n + 1, False
+    fields = data[:5, :, : k + 1].copy()  # (field, family, k), apart from the slope's arrays
+    fields.flags.writeable = False
+    d_scaled = scaled[:, : k + 1].copy()
+    d_scaled.flags.writeable = False
+    g1, g2, g3, disc_g1, disc_g2 = fields
     return GammaSequences(
-        *data,
-        E=float(-sums[0] / sums[1]),
-        a_prime=a_prime,
+        g1=g1,
+        g2=g2,
+        g3=g3,
+        D_scaled=d_scaled,
+        disc_g1=disc_g1,
+        disc_g2=disc_g2,
+        E=float(-sum0 / sum1),
+        a_prime=slope.a_prime,
         a=a,
         b=b,
-        tail_ratio=float(tail),
+        tail_ratio=float(tail_k),
     )
 
 

@@ -45,12 +45,12 @@ class ImpulseSpec:
 
     def __post_init__(self):
         v = []
-        if not self.u1 >= 0.0:
-            v.append(f"u1 >= 0 violated ({self.u1})")
-        if not self.u2 >= 0.0:
-            v.append(f"u2 >= 0 violated ({self.u2})")
-        if not self.K > 0.0:
-            v.append(f"K > 0 violated ({self.K})")
+        if not 0.0 <= self.u1 < math.inf:
+            v.append(f"0 <= u1 < inf violated ({self.u1})")
+        if not 0.0 <= self.u2 < math.inf:
+            v.append(f"0 <= u2 < inf violated ({self.u2})")
+        if not 0.0 < self.K < math.inf:
+            v.append(f"0 < K < inf violated ({self.K})")
         if v:
             raise ParameterError(v)
 

@@ -207,6 +207,39 @@ def test_simulate_barrier_start_outside_the_quadrant(tmp_path, capsys, u1):
     assert not trace.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "impulse", "--paths", "10", "--seed", "1", "--u1", "3", "--u2", "2", "--cost", "inf"],
+    ["value-impulse", "--u1", "inf", "--u2", "2", "--cost", "0.5"],
+    ["value-impulse", "--u1", "1", "--u2", "inf", "--cost", "0.5"],
+])
+def test_infinite_impulse_inputs_are_bad_input(capsys, argv):
+    rc, out = run(capsys, argv)
+    assert rc == 2
+    assert out.startswith("error: ") and "< inf violated (inf)" in out
+
+
+def test_simulate_impulse_at_an_infinite_reset_level_is_bad_input():
+    # in a child process with a deadline: company 2 can never reach an
+    # infinite u2, so without the check the run never returns
+    src = str(Path(dividend2d.__file__).resolve().parents[1])
+    argv = ["simulate", "impulse", "--paths", "10", "--seed", "1", "--u1", "3", "--u2", "inf", "--cost", "0.5"]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n"
+         "from dividend2d.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stdout + proc.stderr[-2000:]
+    assert proc.stdout.startswith("error: 0 <= u2 < inf violated (inf)")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_value_barrier_rejects_a_tolerance_outside_zero_to_inf(capsys, tol):
+    rc, out = run(capsys, ["value-barrier", "--u1", "1", "--u2", "2", "--a", "0.1", "--b", "14",
+                           "--tol", tol])
+    assert rc == 2
+    assert out.startswith("error: 0 < tol < inf violated")
+
+
 _SCIPY_FREE = """
 import sys
 from dividend2d.cli import main

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dividend2d import (
     sequences_to_csv,
     solve_g1_g3,
 )
+from dividend2d import gammas
 from dividend2d.gammas import (
     asymptotic_ratio_violations,
     invariant_violations,
@@ -145,6 +147,74 @@ def test_csv_round_trip(params, barrier):
 
 def test_cache_returns_same_object(params, barrier):
     assert sequences_for(barrier, params) is sequences_for(barrier, params)
+
+
+# ---------------------------------------------------------------------------
+# per-slope families: a barrier's sequences do not depend on what the
+# slope's cache held before it
+
+DATA = Path(__file__).parent / "data"
+
+
+def _cold(bar, params, **kw):
+    gammas._slope.cache_clear()
+    return build_sequences(bar, params, **kw)
+
+
+def _assert_identical(x, y):
+    for f in ("g1", "g2", "g3", "D", "D_scaled", "disc_g1", "disc_g2"):
+        fx, fy = getattr(x, f), getattr(y, f)
+        assert fx.shape == fy.shape and fx.tobytes() == fy.tobytes(), f
+        assert fx.flags.c_contiguous and not fx.flags.writeable, f
+    for f in ("E", "a_prime", "a", "b", "tail_ratio", "key"):
+        assert repr(getattr(x, f)) == repr(getattr(y, f)), f
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.floats(0.05, 1.5), st.floats(1.0, 40.0), st.floats(1.0, 40.0))
+def test_build_after_another_barrier_of_the_slope_equals_a_cold_build(params, a, b1, b2):
+    bar1, bar2 = BarrierSpec.reflection(a, b1, params), BarrierSpec.reflection(a, b2, params)
+    _cold(bar1, params)
+    warm = build_sequences(bar2, params)
+    _assert_identical(warm, _cold(bar2, params))
+
+
+@pytest.mark.parametrize("options", [
+    lambda terms: {"min_terms": 60},
+    lambda terms: {"max_terms": 400, "min_terms": 2 * terms},
+    lambda terms: {"tail_tol": 1e-15},
+])
+def test_build_that_outgrows_the_cached_slope_equals_a_cold_build(params, options):
+    for a, b in ((0.1, 14.0), (0.9, 1.8)):
+        bar = BarrierSpec.reflection(a, b, params)
+        short = _cold(bar, params)
+        kw = options(len(short.steps))
+        longer = build_sequences(bar, params, **kw)
+        assert len(longer.steps) > len(short.steps)
+        _assert_identical(longer, _cold(bar, params, **kw))
+
+
+def test_nonconvergence_message_is_the_same_cold_and_warm(params, barrier):
+    message = "corner sums not converged in 3 terms (tail ratio 1.06e-01)"
+    gammas._slope.cache_clear()
+    with pytest.raises(NonConvergenceError) as cold:
+        build_sequences(barrier, params, max_terms=3)
+    build_sequences(barrier, params)
+    with pytest.raises(NonConvergenceError) as warm:
+        build_sequences(barrier, params, max_terms=3)
+    assert str(cold.value) == str(warm.value) == message
+
+
+@pytest.mark.parametrize("a, b, name", [(0.1, 14.0, "gammas_a0.1_b14.csv"),
+                                        (0.9, 1.8, "gammas_a0.9_b1.8.csv")])
+def test_csv_dump_is_pinned(params, a, b, name):
+    # frozen from the sequences as built step by step before the per-slope cache
+    expected = (DATA / name).read_text()
+    bar = BarrierSpec.reflection(a, b, params)
+    assert sequences_to_csv(_cold(bar, params)) == expected
+    gammas._slope.cache_clear()
+    build_sequences(BarrierSpec.reflection(a, 2.0 * b, params), params, min_terms=40)
+    assert sequences_to_csv(build_sequences(bar, params)) == expected
 
 
 @st.composite

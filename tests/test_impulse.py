@@ -115,6 +115,12 @@ def test_case_routing(params):
     assert value_impulse(ImpulseSpec(1.0, 2.0, 0.5), params).method == ImpulseMethod.QUADRATURE_LOW
 
 
+@pytest.mark.parametrize("u1, u2, K", [(math.inf, 2.0, 0.5), (3.0, math.inf, 0.5), (3.0, 2.0, math.inf)])
+def test_spec_rejects_infinite_inputs(u1, u2, K):
+    with pytest.raises(ParameterError, match=r"< inf violated \(inf\)"):
+        ImpulseSpec(u1, u2, K)
+
+
 # ---------------------------------------------------------------------------
 # tilted building blocks
 
