@@ -19,6 +19,7 @@ from .gammas import GammaSequences, sequences_for
 from .impulse import adaptive_gauss
 from .model import (
     ON_LINE_TOL,
+    AnalyticDomainError,
     BarrierSpec,
     ModelParams,
     ParameterError,
@@ -31,10 +32,6 @@ from .model import (
 )
 
 _INTEGRAL_TOL = 1e-10  # absolute, for the claim integral in the PIDE residual
-
-
-class AnalyticDomainError(ValueError):
-    """The series solution is not defined at the requested point."""
 
 
 class StencilError(ValueError):

@@ -158,6 +158,7 @@ def cmd_simulate(args) -> int:
         print(f"moment n={n}: mean={mean:.10g} se={se:.4g} [mc paths={est.n_paths} seed={args.seed}]")
     print(f"ruin_time_mean = {est.ruin_time_mean:.10g} [mc]")
     print(f"censored = {est.n_censored} truncation_bias_bound = {est.truncation_bias_bound:.4g} [mc]")
+    print(f"ruined by company 2 alone = {est.n_ruin_company2} [mc]")
     return EXIT_OK
 
 

@@ -33,6 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import (
+    AnalyticDomainError,
     BarrierSpec,
     ModelParams,
     NonConvergenceError,
@@ -275,7 +276,7 @@ class _Slope:
             if not n:
                 self.flux0 = steps[0][0] * c1p + steps[0][1] * c2a
                 self.g2_primed0 = steps[1][1]
-                seeds = (barrier.delta0 / self.flux0, math.exp(self.g2_primed0 * float(barrier.b)))
+                seeds = (barrier.delta0 / self.flux0, _primed_seed(self.g2_primed0, float(barrier.b)))
                 carry = [(0.0, seed) for seed in seeds]
             terms, next_carry = [], []
             for (g1, g2, g3, disc_g1, disc_g2), (rho_flux, scaled) in zip(steps, carry):
@@ -298,6 +299,17 @@ class _Slope:
             data.flags.writeable = False
             self.data, self._last, self._carry = data, last, carry
             self.sums, self.tail = (sum0, sum1), tail
+
+
+def _primed_seed(g2_primed0: float, b: float) -> float:
+    """``exp(g2*b)``, the primed family's first ``D_scaled`` at barrier ``b``."""
+    try:
+        return math.exp(g2_primed0 * b)
+    except OverflowError:
+        raise AnalyticDomainError(
+            f"exp(g2*b) overflows at b={b} (g2={g2_primed0:.6g}); the series cannot be"
+            " scaled to a barrier this far out"
+        ) from None
 
 
 @lru_cache(maxsize=128)
@@ -349,7 +361,7 @@ def build_sequences(
         n = min(data.shape[2], max_terms)
         factors = data[5, :, :n].copy()
         factors[0, 0] = barrier.delta0 / slope.flux0
-        factors[1, 0] = math.exp(slope.g2_primed0 * b)
+        factors[1, 0] = _primed_seed(slope.g2_primed0, b)
         scaled = factors.cumprod(axis=1)
         if fresh and n >= min_terms and slope.tail < tail_tol:
             # the slope grew on this barrier's corner sums, which stopped at its cut

@@ -36,17 +36,22 @@ class UnsupportedDistributionError(TypeError):
     """Analytic formulas are implemented for exponential claims only."""
 
 
+class AnalyticDomainError(ValueError):
+    """The series solution is not defined at the requested point or barrier."""
+
+
 class NonConvergenceError(RuntimeError):
     """A numerical procedure failed to reach its tolerance."""
 
 
 class ClaimDistribution:
-    """Claim-size distribution: a mean and a sampler."""
+    """Claim-size distribution: a mean and an inverse CDF."""
 
     def mean(self) -> float:
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def ppf(self, u: np.ndarray) -> np.ndarray:
+        """Claim sizes at the uniforms ``u`` in (0, 1)."""
         raise NotImplementedError
 
 
@@ -63,8 +68,8 @@ class ExponentialClaims(ClaimDistribution):
     def mean(self) -> float:
         return 1.0 / self.rate
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.exponential(1.0 / self.rate, n)
+    def ppf(self, u: np.ndarray) -> np.ndarray:
+        return -np.log1p(-u) / self.rate
 
 
 @dataclass(frozen=True)
@@ -80,8 +85,8 @@ class SampledClaims(ClaimDistribution):
     def mean(self) -> float:
         return self.mean_value
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.asarray(self.inverse_cdf(rng.random(n)), dtype=float)
+    def ppf(self, u: np.ndarray) -> np.ndarray:
+        return np.asarray(self.inverse_cdf(u), dtype=float)
 
 
 def require_exponential(claims: ClaimDistribution) -> ExponentialClaims:
@@ -166,10 +171,10 @@ class BarrierSpec:
 
     def __post_init__(self):
         v = []
-        if not self.a > 0.0:
-            v.append(f"a > 0 violated ({self.a})")
-        if not self.b > 0.0:
-            v.append(f"b > 0 violated ({self.b})")
+        if not 0.0 < self.a < math.inf:
+            v.append(f"0 < a < inf violated ({self.a})")
+        if not 0.0 < self.b < math.inf:
+            v.append(f"0 < b < inf violated ({self.b})")
         if not self.delta1 > 0.0:
             v.append(f"delta1 > 0 violated ({self.delta1})")
         if not self.delta2 > 0.0:

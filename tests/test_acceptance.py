@@ -134,46 +134,52 @@ def test_criterion_3_table3(params):
     assert abs(named[(0.4, 0.6)].v1 - 1.98) <= 0.05
 
 
-def test_criterion_4_simulator_agreement(params):
-    """Six (u, a, b) configurations: series within 3 SE of 1e6-path MC.
+#: criterion 4's configurations (u, a, b); configuration i runs on seed 9000 + i
+CRITERION_4_CONFIGS = [
+    (Reserves(1.0, 2.0), 0.1, 14.0),
+    (Reserves(1.0, 2.0), 1.0, 6.0),
+    (Reserves(1.0, 2.0), 0.5, 20.0),
+    (Reserves(2.0, 3.0), 0.1, 15.0),
+    (Reserves(0.0, 0.2), 0.9, 1.8),
+    (Reserves(0.4, 0.6), 0.9, 1.8),
+]
 
-    Configuration 5, u=(0, 0.2), a=0.9, b=1.8, sits near the edge of the
-    tolerance: series 5.04101 against MC 5.03463 +- 0.00231 (z = -2.76)
-    on this seed.  The gap is a real bias of the series, not noise: four
-    further independent 1e6-path runs pool to -0.0052 +- 0.0012, and the
-    bias disappears when the simulator lets only company 1 ruin.  The
-    series leaves out ruin of company 2, which the model counts; the
-    simulator follows the model.
+
+@pytest.mark.parametrize("i", range(6), ids=[f"config{i + 1}" for i in range(6)])
+def test_criterion_4_simulator_agreement(params, i):
+    """Six (u, a, b) configurations: series within 3 SE of 1e6-path MC,
+    each in under 60 s.
+
+    Configuration 5, u=(0, 0.2), a=0.9, b=1.8, fails the gate: series
+    5.04101 against MC 5.03327 +- 0.00231 (z = -3.35) on its seed, with
+    1243 of the 1e6 paths ruined by company 2 alone.  The gap is a real
+    bias of the series, not noise: paired runs put it at -0.00731 +-
+    0.00050, and it disappears when the simulator lets only company 1
+    ruin.  The series leaves out ruin of company 2, which the model
+    counts; the simulator follows the model.  The other five sit at
+    z = -0.44, -1.36, -0.10, +0.09 and +0.29.
     """
-    configs = [
-        (Reserves(1.0, 2.0), 0.1, 14.0),
-        (Reserves(1.0, 2.0), 1.0, 6.0),
-        (Reserves(1.0, 2.0), 0.5, 20.0),
-        (Reserves(2.0, 3.0), 0.1, 15.0),
-        (Reserves(0.0, 0.2), 0.9, 1.8),
-        (Reserves(0.4, 0.6), 0.9, 1.8),
-    ]
+    u, a, b = CRITERION_4_CONFIGS[i]
     # one tiny run outside the timing budget absorbs first-call costs
     warm = BarrierSpec.reflection(0.1, 14.0, params)
     estimate_barrier_moments(Reserves(1.0, 2.0), warm, params, SimConfig(2, 0))
-    worst_z, worst_t = 0.0, 0.0
-    for i, (u, a, b) in enumerate(configs):
-        bar = BarrierSpec.reflection(a, b, params)
-        series = v1_barrier(u, bar, params).value
-        t0 = time.perf_counter()
-        est = estimate_barrier_moments(u, bar, params, SimConfig(1_000_000, 9000 + i))
-        elapsed = time.perf_counter() - t0
-        mean, se = est.moments[1]
-        z = (mean - series) / se
-        worst_z = max(worst_z, abs(z))
-        worst_t = max(worst_t, elapsed)
-        assert abs(z) <= 3.0, f"config {(u, a, b)}: z={z:+.2f}"
-        assert elapsed < 60.0
+    bar = BarrierSpec.reflection(a, b, params)
+    series = v1_barrier(u, bar, params).value
+    t0 = time.perf_counter()
+    est = estimate_barrier_moments(u, bar, params, SimConfig(1_000_000, 9000 + i))
+    elapsed = time.perf_counter() - t0
+    mean, se = est.moments[1]
+    z = (mean - series) / se
+    ok = abs(z) <= 3.0 and elapsed < 60.0
     report(
-        "4 (simulator agreement, barrier)",
-        True,
-        f"6 configs at 1e6 paths, worst |z|={worst_z:.2f} (tol 3), worst runtime {worst_t:.1f}s < 60s",
+        f"4 (simulator agreement, barrier, config {i + 1})",
+        ok,
+        f"u=({u.u1}, {u.u2}) a={a} b={b}: series {series:.5f} vs MC {mean:.5f} +- {se:.5f},"
+        f" z={z:+.2f} (tol 3), {est.n_ruin_company2} paths ruined by company 2 alone,"
+        f" runtime {elapsed:.1f}s < 60s",
     )
+    assert abs(z) <= 3.0, f"config {(u, a, b)}: z={z:+.2f}"
+    assert elapsed < 60.0
 
 
 def test_criterion_5_residuals(params):

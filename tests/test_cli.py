@@ -240,6 +240,34 @@ def test_value_barrier_rejects_a_tolerance_outside_zero_to_inf(capsys, tol):
     assert out.startswith("error: 0 < tol < inf violated")
 
 
+@pytest.mark.parametrize("b", ["inf", "nan"])
+def test_value_barrier_rejects_a_barrier_that_is_not_finite(capsys, b):
+    # --b inf used to print V1 = nan with exit 0
+    rc, out = run(capsys, ["value-barrier", "--u1", "1", "--u2", "2", "--a", "0.1", "--b", b])
+    assert rc == 2
+    assert out.startswith(f"error: 0 < b < inf violated ({b})")
+
+
+def test_value_barrier_too_far_to_scale_is_bad_input(capsys):
+    # exp(g2*b) overflows: this used to end in an OverflowError traceback
+    # and exit 1, the code for a failed self-check
+    rc, out = run(capsys, ["value-barrier", "--u1", "1", "--u2", "2", "--a", "0.1", "--b", "5000"])
+    assert rc == 2
+    assert out.startswith("error: exp(g2*b) overflows at b=5000.0")
+    # the slope's cached families stay usable for nearer barriers
+    rc, out = run(capsys, ["value-barrier", "--u1", "1", "--u2", "2", "--a", "0.1", "--b", "14"])
+    assert rc == 0 and out.startswith("V1 = 37.94089598")
+
+
+def test_simulate_barrier_reports_company2_ruin(capsys):
+    rc, out = run(capsys, ["simulate", "barrier", "--paths", "200", "--seed", "3",
+                           "--u1", "5", "--u2", "1", "--a", "0.1", "--b", "14"])
+    assert rc == 0
+    count = [line for line in out.splitlines() if line.startswith("ruined by company 2 alone = ")]
+    assert len(count) == 1 and count[0].endswith(" [mc]")
+    assert int(count[0].split("=")[1].split()[0]) > 0
+
+
 _SCIPY_FREE = """
 import sys
 from dividend2d.cli import main

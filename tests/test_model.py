@@ -48,15 +48,19 @@ def test_exponential_claims():
         ExponentialClaims(rate=0.0)
     c = ExponentialClaims(rate=2.0)
     assert c.mean() == 0.5
-    rng = np.random.default_rng(0)
-    xs = c.sample(rng, 20000)
-    assert abs(xs.mean() - 0.5) < 0.02
+    # the inverse CDF -log(1 - u) / rate, at known points and on a midpoint grid
+    u = np.array([2.0**-54, 0.5, 1.0 - 2.0**-53])
+    np.testing.assert_allclose(c.ppf(u), [2.0**-55, np.log(2.0) / 2.0, 53 * np.log(2.0) / 2.0], rtol=1e-15)
+    grid = (np.arange(20000) + 0.5) / 20000
+    xs = c.ppf(grid)
+    assert np.all(np.diff(xs) > 0.0)
+    assert abs(xs.mean() - 0.5) < 0.002
 
 
 def test_sampled_claims_rejected_by_analytics():
     dist = SampledClaims(inverse_cdf=lambda u: 1.0 + 0.0 * u, mean_value=1.0)
-    rng = np.random.default_rng(0)
-    assert np.all(dist.sample(rng, 5) == 1.0)
+    out = dist.ppf(np.linspace(0.1, 0.9, 5))
+    assert out.dtype == float and np.all(out == 1.0)
     with pytest.raises(UnsupportedDistributionError):
         require_exponential(dist)
 
@@ -69,6 +73,12 @@ def test_reflection_construction(params):
     assert bar.is_reflection(params)
     with pytest.raises(ParameterError, match="c2 > a"):
         BarrierSpec.reflection(3.0, 14.0, params)
+
+
+@pytest.mark.parametrize("a, b", [(np.inf, 14.0), (0.1, np.inf), (np.nan, 14.0), (0.1, np.nan)])
+def test_barrier_must_be_finite(a, b):
+    with pytest.raises(ParameterError, match="< inf violated"):
+        BarrierSpec(a=a, b=b, delta1=5.0, delta2=2.9)
 
 
 def test_barrier_requires_company1_drain(params):

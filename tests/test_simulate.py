@@ -18,11 +18,15 @@ from dividend2d import (
     simulate_refracted_path,
     trace_refracted_path,
 )
+from dividend2d.model import SampledClaims
 from dividend2d.simulate import (
+    _IMPULSE_COLUMNS,
     _NEED_MORE,
-    _draw_chunk,
+    _RUIN_C2,
+    _fill_streams,
     _impulse_kernel,
     _path_rng,
+    _philox,
     default_max_time,
 )
 
@@ -54,8 +58,8 @@ def test_partition_merge_equals_full_run(params, barrier):
 
 def test_block_run_matches_single_paths_beyond_first_chunk():
     # small claims and an attracting line: paths slide for hundreds of
-    # claims, outlive their first 256-draw chunk, and are rerun on longer
-    # streams; the estimate must still equal the single-path runs exactly
+    # claims and resume on chunk after chunk of columns; the estimate must
+    # still equal the single-path runs exactly
     long = ModelParams(c1=4.0, c2=3.0, lam=1.0, claims=ExponentialClaims(20.0), q=0.01)
     bar = BarrierSpec(a=0.5, b=45.0, delta1=5.0, delta2=4.0)
     u = Reserves(1.0, 2.0)
@@ -193,14 +197,14 @@ def test_impulse_determinism(params):
 
 def test_impulse_run_matches_single_paths_beyond_first_chunk(params):
     # at (3, 2, K=0.5) some paths complete enough cycles to outlive their
-    # first 256-draw chunk and are rerun on longer streams; the estimate
-    # must still equal the path-ordered sum of single-path runs exactly
+    # first chunk of columns and resume on the next; the estimate must
+    # still equal the path-ordered sum of single-path runs exactly
     spec = ImpulseSpec(3.0, 2.0, 0.5)
     cfg = SimConfig(n_paths=16, master_seed=21, moment_orders=(1, 2))
     first_chunk = [
         _impulse_kernel(
             spec.u1, spec.u2, spec.K, params.c1, params.c2, params.q, 1_000_000,
-            *_draw_chunk(_path_rng(cfg.master_seed, i), params),
+            *(a.tolist() for a in _path_rng(cfg.master_seed, i).columns(params, 0, _IMPULSE_COLUMNS)),
         )[2]
         for i in range(cfg.n_paths)
     ]
@@ -260,3 +264,88 @@ def test_barrier_start_outside_the_quadrant_is_rejected(params, barrier, u):
         estimate_barrier_moments(u, barrier, params, SimConfig(n_paths=10, master_seed=1))
     with pytest.raises(ParameterError, match="start needs finite u1, u2 >= 0"):
         simulate_refracted_path(u, barrier, params, _path_rng(1, 0))
+
+
+@pytest.mark.parametrize("counter, key, expected", [
+    ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+    ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+    ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
+     (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+])
+def test_philox_known_answers(counter, key, expected):
+    # the Random123 known-answer vectors of Philox4x32-10
+    words = _philox(tuple(np.array([c], dtype=np.uint64) for c in counter), key)
+    assert tuple(int(w[0]) for w in words) == expected
+
+
+def _columns(params, seed, paths, start, stop):
+    ts, xs = np.empty((len(paths), stop - start)), np.empty((len(paths), stop - start))
+    _fill_streams(seed, np.asarray(paths), params, ts, xs, start)
+    return ts, xs
+
+
+def test_column_ranges_concatenate(params):
+    seed, paths = 2**63 + 12345, [0, 7, 2**33 + 5]
+    whole = _columns(params, seed, paths, 0, 16)
+    parts = [_columns(params, seed, paths, lo, hi) for lo, hi in ((0, 8), (8, 16))]
+    for k in range(2):
+        assert np.array_equal(whole[k], np.hstack([parts[0][k], parts[1][k]]))
+    # different paths and seeds get different draws, all in range
+    assert len({tuple(row) for row in whole[0]}) == len(paths)
+    assert not np.array_equal(whole[1], _columns(params, seed + 1, paths, 0, 16)[1])
+    assert np.all(whole[0] > 0.0) and np.all(np.isfinite(whole[0])) and np.all(whole[1] > 0.0)
+
+
+def test_path_stream_equals_its_block_row(params):
+    ts, xs = _columns(params, 99, np.arange(40), 5, 37)
+    for i in (0, 17, 39):
+        t_row, x_row = _path_rng(99, i).columns(params, 5, 37)
+        assert np.array_equal(t_row, ts[i]) and np.array_equal(x_row, xs[i])
+
+
+def test_stream_moments_match_the_distributions(params):
+    ts, xs = _columns(params, 4, np.arange(2000), 0, 16)
+    n = ts.size
+    assert abs(ts.mean() - 1.0 / params.lam) < 4.0 / (params.lam * math.sqrt(n))
+    assert abs(xs.mean() - params.claims.mean()) < 4.0 * params.claims.mean() / math.sqrt(n)
+    # waits and claims of a column are independent
+    assert abs(np.corrcoef(ts.ravel(), xs.ravel())[0, 1]) < 4.0 / math.sqrt(n)
+
+
+def test_no_claims_means_infinite_waits():
+    quiet = ModelParams(c1=4.0, c2=3.0, lam=0.0, claims=ExponentialClaims(2.0), q=0.1)
+    ts, _ = _columns(quiet, 0, [0, 1], 0, 8)
+    assert np.all(ts == math.inf)
+
+
+def _constant_claims(size):
+    claims = SampledClaims(inverse_cdf=lambda u: np.full_like(u, size), mean_value=size)
+    return ModelParams(c1=4.0, c2=3.0, lam=1.0, claims=claims, q=0.1)
+
+
+def test_ruin_cause_company2_alone():
+    # constant claims of 2 from (5, 1): a claim that finds company 2 below
+    # 2 ruins it, while company 1 (ahead, and pulling away below the line)
+    # cannot be; every path that does not reach the horizon is ruined by
+    # company 2 alone
+    const = _constant_claims(2.0)
+    bar = BarrierSpec.reflection(0.1, 100.0, const)
+    cfg = SimConfig(n_paths=3000, master_seed=6, max_time=20.0)
+    est = estimate_barrier_moments(Reserves(5.0, 1.0), bar, const, cfg)
+    assert est.n_ruin_company2 > 0
+    assert est.n_ruin_company2 == cfg.n_paths - est.n_censored
+    path = simulate_refracted_path(Reserves(5.0, 1.0), bar, const, _path_rng(6, 0), cfg.max_time)
+    assert path.ruin_cause in (0, _RUIN_C2) and path.censored == (path.ruin_cause == 0)
+    # from (1, 2), a claim of 2 ruins company 1 first (or both at once)
+    short = SimConfig(n_paths=3000, master_seed=6, max_time=0.2)
+    est = estimate_barrier_moments(Reserves(1.0, 2.0), bar, const, short)
+    assert est.n_ruin_company2 == 0 and est.n_censored < short.n_paths
+
+
+def test_impulse_ruin_cause_company2_alone():
+    # constant claims of 2.5: from (3, 2) the first claim ruins company 2
+    # alone, from (2, 3) it ruins company 1
+    const = _constant_claims(2.5)
+    cfg = SimConfig(n_paths=50, master_seed=1)
+    assert estimate_impulse_moments(ImpulseSpec(3.0, 2.0, 0.5), const, cfg).n_ruin_company2 == 50
+    assert estimate_impulse_moments(ImpulseSpec(2.0, 3.0, 0.5), const, cfg).n_ruin_company2 == 0
