@@ -22,7 +22,10 @@ columns; paths still running when their columns run out resume on the
 next chunk, drawn for them alone and twice as wide (up to 64 columns).
 A single path is a block of one, so estimates, single-path calls and
 traces share every operation.  Impulse paths run one at a time in plain
-Python on the columns drawn for their block.
+Python on the columns drawn for their block.  Each block's results reach
+the moment reduction as arrays, whose sums add one path at a time in path
+order, so an estimate does not depend on how its paths are split into
+blocks.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ _DONE, _CENSORED, _NEED_MORE = 0, 1, 2
 #: ruin causes: company 1's reserve went negative (company 2's may have
 #: too), or company 2's alone
 _RUIN_C1, _RUIN_C2 = 1, 2
+
+#: a block's per-path D, sigma, censored mask and ruin cause (0 when
+#: censored), in path order
+_Results = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 #: trace event codes -> labels for the CSV surface
 TRACE_EVENTS = {
@@ -255,6 +262,9 @@ class _BarrierBlock:
         self.t = np.zeros(n)
         self.paid = np.zeros(n)
         self.columns = 0  # columns consumed by the running paths
+
+    def results(self) -> _Results:
+        return self.D, self.sigma, self.status == _CENSORED, self.cause
 
 
 def _barrier_kernel(
@@ -488,8 +498,8 @@ def _impulse_kernel(u1, u2, K, c1, c2, q, max_cycles, ts, xs, D=0.0, t=0.0, cycl
 
 def _impulse_paths(
     spec: ImpulseSpec, params: ModelParams, master_seed: int, paths: np.ndarray, max_cycles: int
-) -> Iterator[tuple[float, float, bool, int]]:
-    """Per-path (D, sigma, censored, cause) of impulse paths, in order.
+) -> _Results:
+    """Per-path (D, sigma, censored, cause) arrays of impulse paths.
 
     Paths draw chunks of ``_IMPULSE_COLUMNS`` columns, as many rows at a
     time as one ``_fill_streams`` slice holds; paths that run out resume
@@ -521,7 +531,7 @@ def _impulse_paths(
                     D_out[j], sig_out[j], status_out[j], cause_out[j] = D, sigma, status, cause
         rows, carry = next_rows, next_carry
         start += _IMPULSE_COLUMNS
-    return zip(D_out.tolist(), sig_out.tolist(), (status_out == _CENSORED).tolist(), cause_out.tolist())
+    return D_out, sig_out, status_out == _CENSORED, cause_out
 
 
 @dataclass
@@ -530,6 +540,11 @@ class PathResult:
     sigma: float
     censored: bool
     ruin_cause: int = 0  # _RUIN_C1, _RUIN_C2, or 0 when censored
+
+
+def _first_path(results: _Results) -> PathResult:
+    D, sigma, censored, cause = results
+    return PathResult(float(D[0]), float(sigma[0]), bool(censored[0]), int(cause[0]))
 
 
 def _run_barrier_path(
@@ -545,12 +560,7 @@ def _run_barrier_path(
     block = _barrier_block(
         u, barrier, params, max_time, rng.master_seed, np.array([rng.index]), trace
     )
-    return PathResult(
-        D=float(block.D[0]),
-        sigma=float(block.sigma[0]),
-        censored=bool(block.status[0] == _CENSORED),
-        ruin_cause=int(block.cause[0]),
-    )
+    return _first_path(block.results())
 
 
 def simulate_refracted_path(
@@ -591,20 +601,26 @@ def simulate_impulse_path(
     max_cycles: int = 1_000_000,
 ) -> PathResult:
     """One impulse-controlled path; censoring = max_cycles exhausted."""
-    ((D, sigma, censored, cause),) = _impulse_paths(
-        spec, params, rng.master_seed, np.array([rng.index]), max_cycles
+    return _first_path(
+        _impulse_paths(spec, params, rng.master_seed, np.array([rng.index]), max_cycles)
     )
-    return PathResult(D=D, sigma=sigma, censored=censored, ruin_cause=cause)
+
+
+def _add_in_order(total: float, terms: np.ndarray) -> float:
+    """``total + terms[0] + terms[1] + ...``, added one term at a time as a
+    Python loop would (``np.sum`` adds pairwise)."""
+    return float(np.cumsum(np.concatenate(([total], terms)))[-1])
 
 
 def _accumulate(
     cfg: SimConfig,
     payout_rate: float,
     params: ModelParams,
-    results: Iterable[tuple[float, float, bool, int]],
+    results: Iterable[_Results],
 ) -> DividendEstimate:
-    """Streaming moments of per-path (D, sigma, censored, ruin cause) in
-    path-index order (batching-invariant)."""
+    """Streaming moments of each block's per-path arrays, blocks in
+    path-index order.  Every sum adds its terms in path order, so the
+    estimate does not depend on how the paths are split into blocks."""
     orders = tuple(sorted(set(cfg.moment_orders)))
     sums = {n: 0.0 for n in orders}
     sq_sums = {n: 0.0 for n in orders}
@@ -612,16 +628,16 @@ def _accumulate(
     bias_sum = 0.0
     for D, sigma, is_censored, cause in results:
         for n in orders:
-            dn = D**n
-            sums[n] += dn
-            sq_sums[n] += dn * dn
-        if is_censored:
-            censored += 1
-            bias_sum += math.exp(-params.q * sigma) * payout_rate / params.q
-        else:
-            ruin_sum += sigma
-            ruin_count += 1
-            company2 += cause == _RUIN_C2
+            dn = np.power(D, n)
+            sums[n] = _add_in_order(sums[n], dn)
+            sq_sums[n] = _add_in_order(sq_sums[n], dn * dn)
+        n_censored = int(np.count_nonzero(is_censored))
+        censored += n_censored
+        ruin_count += is_censored.size - n_censored
+        company2 += int(np.count_nonzero(cause == _RUIN_C2))
+        ruin_sum = _add_in_order(ruin_sum, sigma[~is_censored])
+        tail = np.exp(-params.q * sigma[is_censored]) * payout_rate / params.q
+        bias_sum = _add_in_order(bias_sum, tail)
     moments = {}
     for n in orders:
         mean = sums[n] / cfg.n_paths
@@ -643,18 +659,11 @@ def _barrier_results(
     params: ModelParams,
     cfg: SimConfig,
     max_time: float,
-) -> Iterator[tuple[float, float, bool, int]]:
-    """Per-path (D, sigma, censored, ruin cause) in path order, computed
-    block by block."""
+) -> Iterator[_Results]:
+    """Per-path result arrays of each block, blocks in path order."""
     for start in range(0, cfg.n_paths, _BLOCK):
         paths = np.arange(start, min(start + _BLOCK, cfg.n_paths))
-        block = _barrier_block(u, barrier, params, max_time, cfg.master_seed, paths)
-        yield from zip(
-            block.D.tolist(),
-            block.sigma.tolist(),
-            (block.status == _CENSORED).tolist(),
-            block.cause.tolist(),
-        )
+        yield _barrier_block(u, barrier, params, max_time, cfg.master_seed, paths).results()
 
 
 def estimate_barrier_moments(
@@ -685,15 +694,19 @@ def estimate_impulse_moments(
     """Moments of D for the impulse control.
 
     The bias bound uses c1/q: every payout stream is dominated by paying
-    the larger premium forever.
+    the larger premium forever.  Paths are censored after a million
+    cycles, not at a time horizon, so ``cfg.max_time`` must be None.
     """
     validate_model(params)
-    results = (
-        r
-        for start in range(0, cfg.n_paths, _IMPULSE_BLOCK)
-        for r in _impulse_paths(
+    if cfg.max_time is not None:
+        raise ValueError(
+            f"impulse paths are censored by cycle count; max_time must be None, got {cfg.max_time}"
+        )
+    blocks = (
+        _impulse_paths(
             spec, params, cfg.master_seed,
             np.arange(start, min(start + _IMPULSE_BLOCK, cfg.n_paths)), 1_000_000,
         )
+        for start in range(0, cfg.n_paths, _IMPULSE_BLOCK)
     )
-    return _accumulate(cfg, params.c1, params, results)
+    return _accumulate(cfg, params.c1, params, blocks)

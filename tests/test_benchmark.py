@@ -54,3 +54,6 @@ def test_traced_barrier_run_reports_every_simulator_layer():
     assert metrics["simulate.fill_us_per_path"]["value"] > 0.0
     assert metrics["simulate.draws_per_path"]["value"] > 0.0
     assert metrics["simulate.kernel_us_per_path"]["value"] > 0.0
+    assert metrics["simulate.accumulate_self_us_per_path"]["value"] > 0.0
+    # the floor benchmark/README.md sets for the spans' share of timed wall time
+    assert metrics["trace.span_coverage"]["value"] >= 0.9

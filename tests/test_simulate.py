@@ -18,13 +18,19 @@ from dividend2d import (
     simulate_refracted_path,
     trace_refracted_path,
 )
+from dividend2d import simulate
 from dividend2d.model import SampledClaims
 from dividend2d.simulate import (
     _IMPULSE_COLUMNS,
     _NEED_MORE,
+    _RUIN_C1,
     _RUIN_C2,
+    DividendEstimate,
+    PathResult,
+    _accumulate,
     _fill_streams,
     _impulse_kernel,
+    _impulse_paths,
     _path_rng,
     _philox,
     default_max_time,
@@ -167,19 +173,19 @@ def test_second_moment_dominates_square(params, barrier):
 
 
 def test_impulse_first_cycle_equals_per_cycle_payout(params):
-    # truncating at one cycle isolates the A of the renewal decomposition
+    # truncating at one cycle isolates the A of the renewal decomposition;
+    # the paths run as one block, whose rows equal the single-path calls
     from dividend2d import impulse_v1_high
 
     spec = ImpulseSpec(3.0, 2.0, 0.5)
     A = impulse_v1_high(spec, params).A
     n = 60_000
-    total, total2 = 0.0, 0.0
-    for i in range(n):
-        res = simulate_impulse_path(spec, params, _path_rng(123, i), max_cycles=1)
-        total += res.D
-        total2 += res.D * res.D
-    mean = total / n
-    se = math.sqrt((total2 / n - mean * mean) / n)
+    D, sigma, censored, cause = _impulse_paths(spec, params, 123, np.arange(n), 1)
+    for i in range(200):
+        row = PathResult(float(D[i]), float(sigma[i]), bool(censored[i]), int(cause[i]))
+        assert simulate_impulse_path(spec, params, _path_rng(123, i), max_cycles=1) == row
+    mean = D.mean()
+    se = math.sqrt((np.mean(D * D) - mean * mean) / n)
     assert abs(mean - A) < 3.0 * se
 
 
@@ -215,6 +221,104 @@ def test_impulse_run_matches_single_paths_beyond_first_chunk(params):
         total += simulate_impulse_path(spec, params, _path_rng(cfg.master_seed, i)).D
     assert total / cfg.n_paths == full.moments[1][0]
     assert all(type(v) is float for moment in full.moments.values() for v in moment)
+
+
+def test_impulse_rejects_a_time_horizon(params):
+    # impulse paths are censored by cycle count; a horizon used to be
+    # ignored without a word
+    cfg = SimConfig(n_paths=10, master_seed=1, max_time=5.0)
+    with pytest.raises(ValueError, match="max_time must be None"):
+        estimate_impulse_moments(ImpulseSpec(3.0, 2.0, 0.5), params, cfg)
+
+
+def _loop_accumulate(cfg, payout_rate, params, blocks):
+    """The per-path Python reduction the array one replaced, kept as its
+    oracle."""
+    orders = tuple(sorted(set(cfg.moment_orders)))
+    sums = {n: 0.0 for n in orders}
+    sq_sums = {n: 0.0 for n in orders}
+    ruin_sum, ruin_count, censored, company2 = 0.0, 0, 0, 0
+    bias_sum = 0.0
+    for block in blocks:
+        for D, sigma, is_censored, cause in zip(*(a.tolist() for a in block)):
+            for n in orders:
+                dn = D**n
+                sums[n] += dn
+                sq_sums[n] += dn * dn
+            if is_censored:
+                censored += 1
+                bias_sum += math.exp(-params.q * sigma) * payout_rate / params.q
+            else:
+                ruin_sum += sigma
+                ruin_count += 1
+                company2 += cause == _RUIN_C2
+    moments = {}
+    for n in orders:
+        mean = sums[n] / cfg.n_paths
+        var = max(sq_sums[n] / cfg.n_paths - mean * mean, 0.0)
+        moments[n] = (mean, math.sqrt(var / cfg.n_paths))
+    return DividendEstimate(
+        moments=moments,
+        ruin_time_mean=ruin_sum / ruin_count if ruin_count else math.nan,
+        truncation_bias_bound=bias_sum / cfg.n_paths,
+        n_paths=cfg.n_paths,
+        n_censored=censored,
+        n_ruin_company2=company2,
+    )
+
+
+def test_array_reduction_matches_the_per_path_loop(params):
+    # blocks of ruined (by either company) and censored paths, some with
+    # negative payouts; sums over path order must come out as the loop's
+    rng = np.random.default_rng(5)
+    blocks = []
+    for size in (1, 300, 7, 1000, 64):
+        censored = rng.random(size) < 0.3
+        cause = np.where(censored, 0, rng.choice([_RUIN_C1, _RUIN_C2], size)).astype(np.int8)
+        D = rng.exponential(3.0, size) - 0.5
+        sigma = np.where(censored, rng.uniform(20.0, 40.0, size), rng.exponential(5.0, size))
+        blocks.append((D, sigma, censored, cause))
+    n = sum(len(b[0]) for b in blocks)
+    cfg = SimConfig(n_paths=n, master_seed=0, moment_orders=(3, 1, 2))
+    got = _accumulate(cfg, 2.5, params, iter(blocks))
+    want = _loop_accumulate(cfg, 2.5, params, blocks)
+    all_D = np.concatenate([b[0] for b in blocks])
+    assert want.moments[1][0] * n != np.sum(all_D)  # pairwise sums give other bits here
+    assert 0 < want.n_ruin_company2 < n - want.n_censored and 0 < want.n_censored < n
+    # D**1 and D*D round the same in NumPy and libm, so order 1 is exact;
+    # NumPy's power and exp may differ from libm's pow and exp in the last
+    # bit of a term
+    assert got.moments[1] == want.moments[1]
+    assert (got.ruin_time_mean, got.n_paths, got.n_censored, got.n_ruin_company2) == (
+        want.ruin_time_mean, want.n_paths, want.n_censored, want.n_ruin_company2
+    )
+    for order in (2, 3):
+        assert got.moments[order] == pytest.approx(want.moments[order], rel=1e-13, abs=0.0)
+    assert got.truncation_bias_bound == pytest.approx(want.truncation_bias_bound, rel=1e-13, abs=0.0)
+    assert all(type(v) is float for moment in got.moments.values() for v in moment)
+    assert type(got.n_censored) is int and type(got.n_ruin_company2) is int
+
+
+def test_estimates_do_not_depend_on_the_block_size(params, barrier, monkeypatch):
+    # paths that ruin and paths cut off by the horizon, in blocks of the
+    # default size and of 1000
+    u = Reserves(1.0, 2.0)
+    bar_cfg = SimConfig(n_paths=2500, master_seed=14, max_time=10.0, moment_orders=(1, 2, 3))
+    imp_cfg = SimConfig(n_paths=2500, master_seed=14, moment_orders=(1, 2, 3))
+    spec = ImpulseSpec(3.0, 2.0, 0.5)
+
+    def run():
+        return (
+            estimate_barrier_moments(u, barrier, params, bar_cfg),
+            estimate_impulse_moments(spec, params, imp_cfg),
+        )
+
+    default = run()
+    assert 0 < default[0].n_censored < bar_cfg.n_paths
+    assert simulate._BLOCK > bar_cfg.n_paths and simulate._IMPULSE_BLOCK < imp_cfg.n_paths
+    monkeypatch.setattr(simulate, "_BLOCK", 1000)
+    monkeypatch.setattr(simulate, "_IMPULSE_BLOCK", 1000)
+    assert run() == default
 
 
 def test_trace_structure(params, barrier):
