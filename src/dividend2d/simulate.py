@@ -21,11 +21,22 @@ lockstep, one inter-claim interval at a time.  The block starts on 8
 columns; paths still running when their columns run out resume on the
 next chunk, drawn for them alone and twice as wide (up to 64 columns).
 A single path is a block of one, so estimates, single-path calls and
-traces share every operation.  Impulse paths run one at a time in plain
-Python on the columns drawn for their block.  Each block's results reach
-the moment reduction as arrays, whose sums add one path at a time in path
-order, so an estimate does not depend on how its paths are split into
-blocks.
+traces share every operation.
+
+Impulse paths also run in blocks, drawn the same way.  In lockstep each
+path consumes one waiting time per step, to start a cycle or for one step
+of its recovery race, and reads its claim at its own cursor, which lags
+one further behind per completed cycle.  When fewer than ``_HANDOFF``
+paths still run, they resume in a scalar loop on Python floats with their
+state and unread draws; smaller blocks, single paths included, run there
+from the start.  Both loops take every exponential from ``np.exp`` (the
+scalar loop on Python floats) and otherwise apply ``+ - * /`` and
+comparisons in the same order, so a path's bits do not depend on which
+loop ran which of its cycles.
+
+Each block's results reach the moment reduction as arrays, whose sums add
+one path at a time in path order, so an estimate does not depend on how
+its paths are split into blocks.
 """
 
 from __future__ import annotations
@@ -74,10 +85,16 @@ _BLOCK = 8192
 _FIRST_COLUMNS = 8
 _MAX_COLUMNS = 64
 
-#: paths per block of the impulse estimator, and its chunk width (an
-#: impulse path at the benchmark point uses a median of about 50 columns)
-_IMPULSE_BLOCK = 1024
-_IMPULSE_COLUMNS = 64
+#: paths per block of the impulse estimator; the running paths below which
+#: a block leaves lockstep for the scalar loop (an impulse path at the
+#: benchmark point uses a median of about 50 columns, but the longest of a
+#: block several hundred); the widest lockstep chunk, since a wider one
+#: draws more columns that the paths ending inside it never read, and
+#: holds more of them at once; and the multiple lockstep rows are padded to
+_IMPULSE_BLOCK = 2048
+_HANDOFF = 256
+_LOCKSTEP_COLUMNS = 32
+_LANES = 64
 
 #: counters per slice of a stream fill, so that its arrays stay in cache
 _FILL_COUNTERS = 1 << 13
@@ -247,24 +264,32 @@ def _path_rng(master_seed: int, index: int) -> PathStream:
 # kernels
 
 
-class _BarrierBlock:
-    """A block of barrier paths started at one point: each path's result,
-    and the reserves, time and payout of the paths still running."""
+class _Block:
+    """A block of paths: each path's result, and the time and payout of the
+    paths still running."""
 
-    def __init__(self, u: Reserves, n: int):
+    def __init__(self, n: int):
         self.D = np.zeros(n)
         self.sigma = np.zeros(n)
         self.status = np.full(n, _NEED_MORE)
         self.cause = np.zeros(n, dtype=np.int8)
         self.live = np.arange(n)  # positions of the running paths
-        self.y1 = np.full(n, float(u.u1))
-        self.y2 = np.full(n, float(u.u2))
         self.t = np.zeros(n)
         self.paid = np.zeros(n)
         self.columns = 0  # columns consumed by the running paths
 
     def results(self) -> _Results:
         return self.D, self.sigma, self.status == _CENSORED, self.cause
+
+
+class _BarrierBlock(_Block):
+    """A block of barrier paths started at one point, with the reserves of
+    the paths still running."""
+
+    def __init__(self, u: Reserves, n: int):
+        super().__init__(n)
+        self.y1 = np.full(n, float(u.u1))
+        self.y2 = np.full(n, float(u.u2))
 
 
 def _barrier_kernel(
@@ -436,38 +461,42 @@ def _barrier_block(
     return block
 
 
-def _impulse_kernel(u1, u2, K, c1, c2, q, max_cycles, ts, xs, D=0.0, t=0.0, cycle=0, race=None):
+def _impulse_loop(u1, u2, K, c1, c2, q, max_cycles, ts, xs, D=0.0, t=0.0, cycle=0, race=None):
     """Renewal loop for one impulse path, resumed at cycle ``cycle``, time
     ``t`` and payout ``D`` so far, and inside that cycle's recovery race
     when ``race`` holds its ``(z, s)``.
 
     ``ts`` supplies every exponential waiting time (cycle waits and the
     inter-claim gaps of the recovery race alike, in consumption order);
-    ``xs`` supplies claim sizes.  Returns (D, sigma, status, used_t,
-    used_x, cycles, cause, race).  When the draws run out the status is
-    ``_NEED_MORE``, and the path resumes from the returned D, sigma (as
-    ``t``), cycles and race on ``ts[used_t:]`` and ``xs[used_x:]``
-    followed by further draws.  The loop runs on Python floats, with
-    ``ts`` and ``xs`` lists or memoryviews: indexing either is cheaper
-    than indexing an array, and the arithmetic is the same.
+    ``xs`` supplies claim sizes, at least as many.  Returns (D, sigma,
+    status, cycles, cause, race).  When the waiting times run out the
+    status is ``_NEED_MORE``: the path has read every one of them and one
+    claim fewer per cycle completed, and it resumes from the returned D,
+    sigma (as ``t``), cycles and race on further draws, its unread claims
+    first.  The loop runs on Python floats, with ``ts`` and ``xs`` lists
+    or memoryviews: indexing either is cheaper than indexing an array.
+    Discount factors come from ``np.exp``, as in the lockstep loop of
+    ``_impulse_kernel``, and every other operation is the same as there,
+    so the two loops give the same bits.
     """
     mn = u1 if u1 < u2 else u2
     gap = u2 - u1
-    it, ix = 0, 0
-    nt, nx = len(ts), len(xs)
+    it, ix, nt = 0, 0, len(ts)
+    e = np.exp(-q * t)  # the discount factor at t
     for cycle in range(cycle, max_cycles):
         if race is None:
-            if it >= nt or ix >= nx:
-                return D, t, _NEED_MORE, it, ix, cycle, 0, None
-            w = ts[it]
+            if it >= nt:
+                return D, t, _NEED_MORE, cycle, 0, None
+            t += ts[it]
             it += 1
-            D += c1 * (math.exp(-q * t) - math.exp(-q * (t + w))) / q
-            t += w
+            e_new = np.exp(-q * t)
+            D += c1 * (e - e_new) / q
+            e = e_new
             x = xs[ix]
             ix += 1
             if x > mn:
                 cause = _RUIN_C1 if x > u1 else _RUIN_C2
-                return D, t, _DONE, it, ix, cycle + 1, cause, None
+                return D, t, _DONE, cycle + 1, cause, None
             # company 2 recovers from z = u2 - x back to u2; company 1,
             # at z - (gap - (c1 - c2) s), races the declining boundary
             # max(0, gap - (c1 - c2) s)
@@ -475,15 +504,16 @@ def _impulse_kernel(u1, u2, K, c1, c2, q, max_cycles, ts, xs, D=0.0, t=0.0, cycl
         else:
             (z, s), race = race, None
         while True:
-            if it >= nt or ix >= nx:
-                return D, t, _NEED_MORE, it, ix, cycle, 0, (z, s)
+            if it >= nt:
+                return D, t, _NEED_MORE, cycle, 0, (z, s)
             t_reach = (u2 - z) / c2
             w2 = ts[it]
             it += 1
             if t_reach < w2:
                 tau = s + t_reach
-                D += ((c1 - c2) * tau - K) * math.exp(-q * (t + tau))
                 t += tau
+                e = np.exp(-q * t)
+                D += ((c1 - c2) * tau - K) * e
                 break
             s += w2
             z += c2 * w2
@@ -492,46 +522,163 @@ def _impulse_kernel(u1, u2, K, c1, c2, q, max_cycles, ts, xs, D=0.0, t=0.0, cycl
             edge = gap - (c1 - c2) * s
             if z < (edge if edge > 0.0 else 0.0):
                 cause = _RUIN_C1 if z < edge else _RUIN_C2
-                return D, t + s, _DONE, it, ix, cycle + 1, cause, None
-    return D, t, _CENSORED, it, ix, max_cycles, 0, None
+                return D, t + s, _DONE, cycle + 1, cause, None
+    return D, t, _CENSORED, max_cycles, 0, None
+
+
+class _ImpulseBlock(_Block):
+    """A block of impulse paths, with the cycle state and unread claims of
+    the paths still running.
+
+    Every running path has consumed ``columns`` waiting times and one claim
+    fewer per completed cycle, so row ``j`` of ``claims`` ends with the
+    ``cycle[j]`` claims its path has drawn but not read (left of those,
+    the row holds claims it has read).
+    """
+
+    def __init__(self, n: int):
+        super().__init__(n)
+        self.cycle = np.zeros(n, dtype=np.int64)  # completed cycles
+        self.z = np.zeros(n)  # company 2's reserve in the recovery race
+        self.s = np.zeros(n)  # time since the race began
+        self.racing = np.zeros(n, dtype=bool)
+        self.claims = np.empty((n, 0))
+
+
+def _impulse_kernel(
+    spec: ImpulseSpec,
+    params: ModelParams,
+    max_cycles: int,
+    ts: np.ndarray,
+    xs: np.ndarray,
+    block: _ImpulseBlock,
+) -> _ImpulseBlock:
+    """Event loop for a block of impulse paths over one chunk of columns.
+
+    Row ``j`` of ``ts`` holds the next waiting times of the block's
+    ``j``-th running path; row ``j`` of ``xs`` holds ``block.claims[j]``
+    followed by the claim sizes of the same columns.  Returns the block:
+    paths that ruin or complete ``max_cycles`` cycles get their D, sigma,
+    status and ruin cause; the others stay running.
+
+    In lockstep each path consumes one waiting time per step, to start a
+    cycle or for one step of its recovery race, and reads its claim at its
+    own claim cursor; finished paths are compacted away in batches.  Once
+    fewer than ``_HANDOFF`` paths run, each resumes in the scalar loop
+    ``_impulse_loop`` with its state and unread draws; a block smaller
+    than that runs there from the start.  Both loops take every
+    exponential from ``np.exp`` and otherwise apply ``+ - * /`` and
+    comparisons in the same order, so a path's result does not depend on
+    which loop ran which of its cycles.
+    """
+    u1, u2, K = spec.u1, spec.u2, spec.K
+    c1, c2, q = params.c1, params.c2, params.q
+    lag = xs.shape[1] - ts.shape[1]  # xs[:, lag + k] was drawn with ts[:, k]
+    live, D, t, cycle = block.live, block.paid, block.t, block.cycle
+    z, s, racing = block.z, block.s, block.racing
+    rows = np.arange(live.size)
+    k = 0
+    if live.size >= _HANDOFF:
+        mn, gap, dc = min(u1, u2), u2 - u1, c1 - c2
+        alive = np.ones(live.size, dtype=bool)
+        running, finished = live.size, 0  # finished: since the last compaction
+        e = np.exp(-q * t)
+        # a path completes at most one cycle per column
+        capped = block.columns + ts.shape[1] >= max_cycles
+        while True:
+            # at the end the rows are the running paths; before it they are
+            # padded to a multiple of _LANES with copies of running rows
+            # (not alive), so that NumPy, which caches freed buffers under
+            # 1 KiB by size, sees few distinct mask sizes
+            end = k == ts.shape[1] or running < max(_HANDOFF, 1)
+            if end or finished >= _LANES or live.size % _LANES:
+                keep = np.flatnonzero(alive)
+                if not end:
+                    keep = np.resize(keep, -(-running // _LANES) * _LANES)
+                live, rows, D, t, e, cycle, z, s, racing = (
+                    a[keep] for a in (live, rows, D, t, e, cycle, z, s, racing)
+                )
+                alive, finished = np.arange(keep.size) < running, 0
+            if end:
+                break
+            w = ts[:, k][rows]
+            x = xs[rows, lag + k - cycle]
+            t_reach = (u2 - z) / c2
+            reach = racing & (t_reach < w)
+            tau = s + t_reach
+            t = t + np.where(racing, np.where(reach, tau, 0.0), w)
+            e_new = np.exp(-q * t)
+            D = D + np.where(racing, np.where(reach, (dc * tau - K) * e_new, 0.0), c1 * (e - e_new) / q)
+            z = np.where(racing, z + c2 * w, u2) - x
+            s = np.where(racing, s + w, 0.0)
+            edge = gap - dc * s
+            ruined = np.where(racing, ~reach & (z < np.maximum(edge, 0.0)), x > mn)
+            cycle = cycle + reach
+            done = (ruined | (reach & (cycle == max_cycles)) if capped else ruined) & alive
+            if done.any():
+                fin = np.flatnonzero(done)
+                idx, ruin = live[fin], ruined[fin]
+                first = np.where(racing[fin], z[fin] < edge[fin], x[fin] > u1)
+                block.D[idx] = D[fin]
+                block.sigma[idx] = np.where(ruin, t[fin] + s[fin], t[fin])
+                block.status[idx] = np.where(ruin, _DONE, _CENSORED)
+                block.cause[idx] = np.where(ruin, np.where(first, _RUIN_C1, _RUIN_C2), 0)
+                alive[fin] = False
+                running -= fin.size
+                finished += fin.size
+            e, racing = e_new, ~reach
+            k += 1
+    if live.size < _HANDOFF:
+        # the stragglers, from column k on, in the scalar loop
+        args = (u1, u2, K, c1, c2, q, max_cycles)
+        state = zip(rows.tolist(), (lag + k - cycle).tolist(), D.tolist(), t.tolist(),
+                    cycle.tolist(), z.tolist(), s.tolist(), racing.tolist())
+        for j, (r, x0, D_j, t_j, cycle_j, z_j, s_j, racing_j) in enumerate(state):
+            D_j, t_j, status, cycle_j, cause, race = _impulse_loop(
+                *args, memoryview(ts[r, k:]), memoryview(xs[r, x0:]),
+                D_j, t_j, cycle_j, (z_j, s_j) if racing_j else None,
+            )
+            if status == _NEED_MORE:
+                D[j], t[j], cycle[j], racing[j] = D_j, t_j, cycle_j, race is not None
+                if race is not None:
+                    z[j], s[j] = race
+            else:
+                p = live[j]
+                block.D[p], block.sigma[p], block.status[p], block.cause[p] = D_j, t_j, status, cause
+        keep = np.flatnonzero(block.status[live] == _NEED_MORE)
+        live, rows, D, t, cycle, z, s, racing = (a[keep] for a in (live, rows, D, t, cycle, z, s, racing))
+    block.live, block.paid, block.t, block.cycle, block.z, block.s, block.racing = (
+        live, D, t, cycle, z, s, racing
+    )
+    block.claims = xs[rows, xs.shape[1] - cycle.max(initial=0) :]
+    block.columns += ts.shape[1]
+    return block
 
 
 def _impulse_paths(
     spec: ImpulseSpec, params: ModelParams, master_seed: int, paths: np.ndarray, max_cycles: int
 ) -> _Results:
-    """Per-path (D, sigma, censored, cause) arrays of impulse paths.
+    """Per-path (D, sigma, censored, cause) arrays of impulse paths, run as
+    one block until each ruins or completes ``max_cycles`` cycles.
 
-    Paths draw chunks of ``_IMPULSE_COLUMNS`` columns, as many rows at a
-    time as one ``_fill_streams`` slice holds; paths that run out resume
-    where they stopped on their next chunk, drawn for them alone.
+    A block starts on ``_FIRST_COLUMNS`` columns, and its running paths
+    resume on chunks drawn for them alone, twice as wide each time up to
+    ``_LOCKSTEP_COLUMNS`` while they run in lockstep and ``_MAX_COLUMNS``
+    once they run in the scalar loop.  A block that runs in the scalar loop
+    from the start uses chunks of ``_MAX_COLUMNS`` throughout.
     """
-    args = (spec.u1, spec.u2, spec.K, params.c1, params.c2, params.q, max_cycles)
-    D_out, sig_out = np.empty(paths.size), np.empty(paths.size)
-    status_out, cause_out = np.empty(paths.size, dtype=int), np.empty(paths.size, dtype=int)
-    # pending paths, each with (unused waits, unused claims, D, t, cycle, race)
-    rows = list(range(paths.size))
-    carry = [(np.empty(0), np.empty(0), 0.0, 0.0, 0, None)] * paths.size
-    start, step = 0, _FILL_COUNTERS // _IMPULSE_COLUMNS  # rows drawn at once
-    while rows:
-        next_rows, next_carry = [], []
-        for lo in range(0, len(rows), step):
-            part = rows[lo : lo + step]
-            ts, xs = np.empty((len(part), _IMPULSE_COLUMNS)), np.empty((len(part), _IMPULSE_COLUMNS))
-            _fill_streams(master_seed, paths[part], params, ts, xs, start)
-            for k, (j, (old_t, old_x, *state)) in enumerate(zip(part, carry[lo : lo + step])):
-                wait = np.concatenate((old_t, ts[k])) if old_t.size else ts[k]
-                claim = np.concatenate((old_x, xs[k])) if old_x.size else xs[k]
-                D, sigma, status, it, ix, cycle, cause, race = _impulse_kernel(
-                    *args, memoryview(wait), memoryview(claim), *state
-                )
-                if status == _NEED_MORE:
-                    next_rows.append(j)
-                    next_carry.append((wait[it:].copy(), claim[ix:].copy(), D, sigma, cycle, race))
-                else:
-                    D_out[j], sig_out[j], status_out[j], cause_out[j] = D, sigma, status, cause
-        rows, carry = next_rows, next_carry
-        start += _IMPULSE_COLUMNS
-    return D_out, sig_out, status_out == _CENSORED, cause_out
+    if max_cycles < 1:
+        raise ValueError(f"max_cycles >= 1 required, got {max_cycles}")
+    block = _ImpulseBlock(paths.size)
+    width = _FIRST_COLUMNS if paths.size >= _HANDOFF else _MAX_COLUMNS
+    while block.live.size:
+        lag = block.claims.shape[1]
+        ts, xs = np.empty((block.live.size, width)), np.empty((block.live.size, lag + width))
+        xs[:, :lag] = block.claims
+        _fill_streams(master_seed, paths[block.live], params, ts, xs[:, lag:], block.columns)
+        block = _impulse_kernel(spec, params, max_cycles, ts, xs, block)
+        width = min(2 * width, _MAX_COLUMNS if block.live.size < _HANDOFF else _LOCKSTEP_COLUMNS)
+    return block.results()
 
 
 @dataclass

@@ -57,3 +57,22 @@ def test_traced_barrier_run_reports_every_simulator_layer():
     assert metrics["simulate.accumulate_self_us_per_path"]["value"] > 0.0
     # the floor benchmark/README.md sets for the spans' share of timed wall time
     assert metrics["trace.span_coverage"]["value"] >= 0.9
+
+
+def test_traced_impulse_run_reports_every_simulator_layer():
+    # the tracer reads the impulse event loop's time from the name
+    # simulate._impulse_kernel; a short traced impulse run checks that the
+    # name still exists and that its spans cover the timed work
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmark" / "run.py"), "--workload", "impulse-mc",
+         "--seconds", "0.3", "--trace", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=_reject)
+    assert result["correct"] is True
+    metrics = result["metrics"]
+    for name in ("simulate.impulse_path_us", "simulate.fill_us_per_path",
+                 "simulate.draws_per_path", "simulate.accumulate_self_us_per_path"):
+        assert metrics[name]["value"] > 0.0, name
+    assert metrics["trace.span_coverage"]["value"] >= 0.9

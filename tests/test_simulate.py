@@ -21,7 +21,7 @@ from dividend2d import (
 from dividend2d import simulate
 from dividend2d.model import SampledClaims
 from dividend2d.simulate import (
-    _IMPULSE_COLUMNS,
+    _MAX_COLUMNS,
     _NEED_MORE,
     _RUIN_C1,
     _RUIN_C2,
@@ -29,7 +29,7 @@ from dividend2d.simulate import (
     PathResult,
     _accumulate,
     _fill_streams,
-    _impulse_kernel,
+    _impulse_loop,
     _impulse_paths,
     _path_rng,
     _philox,
@@ -208,9 +208,9 @@ def test_impulse_run_matches_single_paths_beyond_first_chunk(params):
     spec = ImpulseSpec(3.0, 2.0, 0.5)
     cfg = SimConfig(n_paths=16, master_seed=21, moment_orders=(1, 2))
     first_chunk = [
-        _impulse_kernel(
+        _impulse_loop(
             spec.u1, spec.u2, spec.K, params.c1, params.c2, params.q, 1_000_000,
-            *(a.tolist() for a in _path_rng(cfg.master_seed, i).columns(params, 0, _IMPULSE_COLUMNS)),
+            *(a.tolist() for a in _path_rng(cfg.master_seed, i).columns(params, 0, _MAX_COLUMNS)),
         )[2]
         for i in range(cfg.n_paths)
     ]
@@ -221,6 +221,62 @@ def test_impulse_run_matches_single_paths_beyond_first_chunk(params):
         total += simulate_impulse_path(spec, params, _path_rng(cfg.master_seed, i)).D
     assert total / cfg.n_paths == full.moments[1][0]
     assert all(type(v) is float for moment in full.moments.values() for v in moment)
+
+
+@pytest.mark.parametrize("max_cycles", [0, -5])
+def test_impulse_rejects_fewer_than_one_cycle(params, max_cycles):
+    # a path used to come back censored at D = sigma = 0 without a word
+    spec = ImpulseSpec(3.0, 2.0, 0.5)
+    with pytest.raises(ValueError, match="max_cycles >= 1"):
+        simulate_impulse_path(spec, params, _path_rng(1, 0), max_cycles=max_cycles)
+    with pytest.raises(ValueError, match="max_cycles >= 1"):
+        _impulse_paths(spec, params, 1, np.arange(300), max_cycles)
+
+
+def test_numpy_exp_of_a_float_equals_its_array_lane():
+    # the lockstep and scalar impulse loops hand paths to each other
+    # exactly only if np.exp gives the same bits on a Python float as on
+    # an array holding it, whatever the array's length and the lane
+    q = 0.1
+    ts = np.concatenate(([0.0, 1e-300, 5e-324], np.geomspace(1e-12, 1e4, 3001)))
+    ts = np.concatenate((ts, np.random.default_rng(3).uniform(0.0, 400.0, 2000)))
+    arg = -q * ts
+    lanes = np.exp(arg)
+    assert [np.exp(v).tobytes() for v in arg.tolist()] == [v.tobytes() for v in lanes]
+    for n in (1, 3, 7, 8, 9, 255):
+        assert np.array_equal(np.exp(arg[:n]), lanes[:n])
+
+
+@pytest.mark.parametrize(
+    "spec, claim_size, max_cycles",
+    [
+        (ImpulseSpec(3.0, 2.0, 0.5), None, 1),
+        (ImpulseSpec(3.0, 2.0, 0.5), None, 3),
+        (ImpulseSpec(3.0, 2.0, 0.5), None, 1_000_000),
+        (ImpulseSpec(3.0, 2.0, 50.0), None, 1_000_000),  # negative lumps
+        (ImpulseSpec(1.0, 2.0, 0.5), None, 1_000_000),  # u1 < u2
+        (ImpulseSpec(3.0, 2.0, 0.5), 2.5, 1_000_000),  # company 2 ruins
+    ],
+)
+def test_impulse_results_do_not_depend_on_the_handoff(params, monkeypatch, spec, claim_size, max_cycles):
+    # lockstep to the end, the default handoff, and the scalar loop alone
+    # give the same per-path arrays and estimates, bit for bit
+    model = params if claim_size is None else _constant_claims(claim_size)
+    paths = np.arange(1500)
+    cfg = SimConfig(n_paths=1500, master_seed=31, moment_orders=(1, 2))
+    runs = []
+    for handoff in (0, simulate._HANDOFF, simulate._IMPULSE_BLOCK + 1):
+        monkeypatch.setattr(simulate, "_HANDOFF", handoff)
+        est = estimate_impulse_moments(spec, model, cfg) if max_cycles == 1_000_000 else None
+        runs.append((_impulse_paths(spec, model, 31, paths, max_cycles), est))
+    (lockstep, est), *others = runs
+    for results, other in others:
+        assert all(np.array_equal(a, b) for a, b in zip(lockstep, results))
+        assert other == est
+    D, sigma, censored, cause = lockstep
+    for i in (0, 1, 777, 1499):
+        row = PathResult(float(D[i]), float(sigma[i]), bool(censored[i]), int(cause[i]))
+        assert simulate_impulse_path(spec, model, _path_rng(31, i), max_cycles) == row
 
 
 def test_impulse_rejects_a_time_horizon(params):
