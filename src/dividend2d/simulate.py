@@ -12,16 +12,16 @@ its ``j``-th waiting time and ``j``-th claim size, each the inverse CDF
 of a uniform on (0, 1) made from the top 53 bits of a 64-bit word pair:
 words 0 (high) and 1 for the wait, words 2 (high) and 3 for the claim.
 Any column range of any set of paths is computed directly, so a path's
-draws do not depend on which block it runs in, and every estimate is a
-pure function of the seed, independent of any batching or threading
-arrangement.
+draws do not depend on which block or process it runs in, and every
+estimate is a pure function of the seed.
 
 Barrier paths run through one NumPy kernel that moves a block of paths in
 lockstep, one inter-claim interval at a time.  The block starts on 8
 columns; paths still running when their columns run out resume on the
 next chunk, drawn for them alone and twice as wide (up to 64 columns).
 A single path is a block of one, so estimates, single-path calls and
-traces share every operation.
+traces share every operation.  Both kernels drop finished paths from
+their arrays in batches, padded to a multiple of ``_LANES`` rows.
 
 Impulse paths also run in blocks, drawn the same way.  In lockstep each
 path consumes one waiting time per step, to start a cycle or for one step
@@ -36,13 +36,23 @@ loop ran which of its cycles.
 
 Each block's results reach the moment reduction as arrays, whose sums add
 one path at a time in path order, so an estimate does not depend on how
-its paths are split into blocks.
+its paths are split into blocks, nor on where each block runs.  An
+estimate of two or more blocks runs them on every core the process may
+use: the calling process takes every ``n``-th block and ``n - 1`` forked
+worker processes the others, in one pool made on first use and kept for
+the life of the process (the kernels hold the interpreter lock, so
+threads would not help).  Estimates of one block, single paths, traces
+and estimates whose claim distribution cannot be pickled run in the
+calling process alone.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -98,6 +108,11 @@ _LANES = 64
 
 #: counters per slice of a stream fill, so that its arrays stay in cache
 _FILL_COUNTERS = 1 << 13
+
+#: blocks an estimate submits to its workers ahead of the block it is
+#: reducing, per core: enough to keep every worker busy, few enough that
+#: a long estimate does not pile up result arrays
+_AHEAD = 2
 
 # Philox4x32-10 multipliers and Weyl key increments
 _M0, _M1 = np.uint64(0xD2511F53), np.uint64(0xCD9E8D57)
@@ -282,6 +297,30 @@ class _Block:
         return self.D, self.sigma, self.status == _CENSORED, self.cause
 
 
+def _rows_to_keep(alive: np.ndarray, finished: int, end: bool) -> np.ndarray | None:
+    """Rows to keep of a kernel's state arrays, whose running rows
+    ``alive`` marks, after ``finished`` paths finished since the last
+    compaction; None to keep them all for now.
+
+    Finished paths are compacted away in batches of ``_LANES``, and the
+    rows kept are padded to a multiple of ``_LANES`` with copies of a running
+    row (not alive), so that NumPy, which caches freed buffers under
+    1 KiB by size, sees few distinct sizes.  At the ``end`` of a chunk the
+    rows kept are exactly the running ones.
+    """
+    if not (end or finished >= _LANES or alive.size % _LANES):
+        return None
+    keep = np.flatnonzero(alive)
+    return keep if end else _padded(keep)
+
+
+def _padded(rows: np.ndarray) -> np.ndarray:
+    """``rows`` followed by copies of its first entry, to a multiple of
+    ``_LANES`` entries."""
+    pad = -rows.size % _LANES
+    return np.concatenate((rows, np.full(pad, rows[0]))) if pad else rows
+
+
 class _BarrierBlock(_Block):
     """A block of barrier paths started at one point, with the reserves of
     the paths still running."""
@@ -352,26 +391,31 @@ def _barrier_kernel(
             raise ValueError("tracing needs a block of one path")
         block = _BarrierBlock(u, ts.shape[0])
         note(True, 0, block.t, block.y1, block.y2)
-    # state of the running paths and their rows in ts/xs, compacted after
-    # every interval
+    # state of the running paths and their rows in ts/xs; a row that is not
+    # alive has finished or pads the arrays until the next compaction
     live, y1, y2, t, D = block.live, block.y1, block.y2, block.t, block.paid
     rows = np.arange(live.size)
+    alive = np.ones(live.size, dtype=bool)
+    running = live.size  # running paths at the last compaction
 
     def finish(pos, code, fin, cause=0):
-        idx = live[pos[fin]]
-        block.D[idx] = D[pos[fin]]
-        block.sigma[idx] = t[pos[fin]]
+        sel = pos[fin]
+        idx = live[sel]
+        block.D[idx] = D[sel]
+        block.sigma[idx] = t[sel]
         block.status[idx] = code
         block.cause[idx] = cause if np.isscalar(cause) else cause[fin]
+        alive[sel] = False
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(n_cols):
-            if live.size == 0:
-                break
             rem = ts[rows, k]
-            done = np.zeros(live.size, dtype=bool)
-            pos = np.flatnonzero(rem > 0.0)
+            pos = np.flatnonzero(alive & (rem > 0.0))
             while pos.size:
+                # the rows still in the interval, padded to a multiple of
+                # _LANES with copies, which compute and write the same values
+                n = pos.size
+                pos = _padded(pos)
                 Y1, Y2, T, A, R = y1[pos], y2[pos], t[pos], D[pos], rem[pos]
                 f = Y2 - (b - a * Y1)
                 below = f < -tol
@@ -419,28 +463,28 @@ def _barrier_kernel(
                 note(censored, 5, T, Y1, Y2)
                 finish(pos, _DONE, ruined, -kind)
                 finish(pos, _CENSORED, censored)
-                stop = ruined | censored
-                done[pos[stop]] = True
-                pos = pos[~stop & (R > 0.0)]
-            keep = np.flatnonzero(~done)
-            live, rows, y1, y2, t, D = live[keep], rows[keep], y1[keep], y2[keep], t[keep], D[keep]
-            if live.size == 0:
+                pos = pos[:n][(~(ruined | censored) & (R > 0.0))[:n]]
+            if not alive.any():
                 break
             x = xs[rows, k]
             y1 -= x
             y2 -= x
             note(True, 3, t, y1, y2)
-            ruined = (y1 < 0.0) | (y2 < 0.0)
+            ruined = alive & ((y1 < 0.0) | (y2 < 0.0))
             note(ruined, 4, t, y1, y2)
             finish(np.arange(live.size), _DONE, ruined, np.where(y1 < 0.0, _RUIN_C1, _RUIN_C2))
-            keep = np.flatnonzero(~ruined)
-            live, rows, y1, y2, t, D = live[keep], rows[keep], y1[keep], y2[keep], t[keep], D[keep]
-    block.live, block.y1, block.y2, block.t, block.paid = live, y1, y2, t, D
+            still = int(np.count_nonzero(alive))
+            keep = _rows_to_keep(alive, running - still, False)
+            if keep is not None:
+                live, rows, y1, y2, t, D = (a[keep] for a in (live, rows, y1, y2, t, D))
+                alive, running = np.arange(keep.size) < still, still
+    keep = np.flatnonzero(alive)
+    block.live, block.y1, block.y2, block.t, block.paid = (a[keep] for a in (live, y1, y2, t, D))
     block.columns += n_cols
     return block
 
 
-def _barrier_block(
+def _barrier_paths(
     u: Reserves,
     barrier: BarrierSpec,
     params: ModelParams,
@@ -448,9 +492,10 @@ def _barrier_block(
     master_seed: int,
     paths: np.ndarray,
     trace: list | None = None,
-) -> _BarrierBlock:
-    """Run ``paths`` from ``u`` until each ruins or is censored, drawing
-    every further chunk of columns for the running paths only."""
+) -> _Results:
+    """Per-path (D, sigma, censored, cause) arrays of barrier paths, run
+    from ``u`` as one block until each ruins or is censored, drawing every
+    further chunk of columns for the running paths only."""
     block, width = None, _FIRST_COLUMNS
     while block is None or block.live.size:
         rows = paths if block is None else paths[block.live]
@@ -458,7 +503,7 @@ def _barrier_block(
         _fill_streams(master_seed, rows, params, ts, xs, 0 if block is None else block.columns)
         block = _barrier_kernel(u, barrier, params, max_time, ts, xs, block, trace)
         width = min(2 * width, _MAX_COLUMNS)
-    return block
+    return block.results()
 
 
 def _impulse_loop(u1, u2, K, c1, c2, q, max_cycles, ts, xs, D=0.0, t=0.0, cycle=0, race=None):
@@ -586,15 +631,9 @@ def _impulse_kernel(
         # a path completes at most one cycle per column
         capped = block.columns + ts.shape[1] >= max_cycles
         while True:
-            # at the end the rows are the running paths; before it they are
-            # padded to a multiple of _LANES with copies of running rows
-            # (not alive), so that NumPy, which caches freed buffers under
-            # 1 KiB by size, sees few distinct mask sizes
             end = k == ts.shape[1] or running < max(_HANDOFF, 1)
-            if end or finished >= _LANES or live.size % _LANES:
-                keep = np.flatnonzero(alive)
-                if not end:
-                    keep = np.resize(keep, -(-running // _LANES) * _LANES)
+            keep = _rows_to_keep(alive, finished, end)
+            if keep is not None:
                 live, rows, D, t, e, cycle, z, s, racing = (
                     a[keep] for a in (live, rows, D, t, e, cycle, z, s, racing)
                 )
@@ -704,10 +743,9 @@ def _run_barrier_path(
 ) -> PathResult:
     """One path as a block of one."""
     _check_start(u)
-    block = _barrier_block(
-        u, barrier, params, max_time, rng.master_seed, np.array([rng.index]), trace
+    return _first_path(
+        _barrier_paths(u, barrier, params, max_time, rng.master_seed, np.array([rng.index]), trace)
     )
-    return _first_path(block.results())
 
 
 def simulate_refracted_path(
@@ -800,17 +838,82 @@ def _accumulate(
     )
 
 
-def _barrier_results(
-    u: Reserves,
-    barrier: BarrierSpec,
-    params: ModelParams,
-    cfg: SimConfig,
-    max_time: float,
-) -> Iterator[_Results]:
-    """Per-path result arrays of each block, blocks in path order."""
-    for start in range(0, cfg.n_paths, _BLOCK):
-        paths = np.arange(start, min(start + _BLOCK, cfg.n_paths))
-        yield _barrier_block(u, barrier, params, max_time, cfg.master_seed, paths).results()
+_pool = None  # the forked worker pool, made on first use
+_pool_pid = 0  # the process that made it
+
+
+def _drop_pool() -> None:
+    global _pool
+    _pool = None
+
+
+def _worker_pool(workers: int):
+    """This process's pool of forked workers, made with ``workers`` of them
+    on first use.  A pool inherited from the parent of a fork is never
+    used: its workers and threads belong to the parent."""
+    global _pool, _pool_pid
+    if _pool is None or _pool_pid != os.getpid():
+        import atexit
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # workers are forked, so they hold the module state of this
+        # process as it is when the pool starts them
+        _pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+        _pool_pid = os.getpid()
+        # the interpreter's exit hook shuts the pool down; letting go of it
+        # before modules are torn down keeps its finalizer working
+        atexit.register(_drop_pool)
+    return _pool
+
+
+def _picklable(obj) -> bool:
+    import pickle
+
+    try:
+        pickle.dumps(obj)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        return False
+    return True
+
+
+def _in_order(work, n_paths: int, size: int) -> Iterator[_Results]:
+    """``work(paths)`` for each block ``paths`` of ``size`` consecutive path
+    indices below ``n_paths``, yielded in path order.
+
+    With two or more blocks and ``n >= 2`` cores to run on, block ``i``
+    runs in this process when ``i % n == 0`` and in a forked worker
+    otherwise, submitted at most ``_AHEAD * n`` blocks ahead of the one
+    being yielded.  A ``work`` that cannot be pickled (say, claims drawn
+    through a lambda) runs every block here.  Blocks still pending when
+    the consumer stops are cancelled.  A broken pool raises
+    ``BrokenProcessPool`` and is dropped, so the next call starts a new
+    one.
+    """
+
+    def paths(i):
+        return np.arange(i * size, min(i * size + size, n_paths))
+
+    n_blocks, n = -(-n_paths // size), len(os.sched_getaffinity(0))
+    if n_blocks < 2 or n < 2 or not _picklable(work):
+        for i in range(n_blocks):
+            yield work(paths(i))
+        return
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool, pending = _worker_pool(n - 1), {}
+    try:
+        for i in range(n_blocks):
+            for j in range(i, min(i + _AHEAD * n, n_blocks)):
+                if j % n and j not in pending:
+                    pending[j] = pool.submit(work, paths(j))
+            yield pending.pop(i).result() if i % n else work(paths(i))
+    except BrokenProcessPool:
+        _drop_pool()
+        raise
+    finally:
+        for future in pending.values():
+            future.cancel()
 
 
 def estimate_barrier_moments(
@@ -828,9 +931,9 @@ def estimate_barrier_moments(
     validate_barrier(barrier, params)
     _check_start(u)
     max_time = cfg.max_time if cfg.max_time is not None else default_max_time(params, barrier.delta0)
-    return _accumulate(
-        cfg, barrier.delta0, params, _barrier_results(u, barrier, params, cfg, max_time)
-    )
+    work = partial(_barrier_paths, u, barrier, params, max_time, cfg.master_seed)
+    with closing(_in_order(work, cfg.n_paths, _BLOCK)) as results:
+        return _accumulate(cfg, barrier.delta0, params, results)
 
 
 def estimate_impulse_moments(
@@ -849,11 +952,6 @@ def estimate_impulse_moments(
         raise ValueError(
             f"impulse paths are censored by cycle count; max_time must be None, got {cfg.max_time}"
         )
-    blocks = (
-        _impulse_paths(
-            spec, params, cfg.master_seed,
-            np.arange(start, min(start + _IMPULSE_BLOCK, cfg.n_paths)), 1_000_000,
-        )
-        for start in range(0, cfg.n_paths, _IMPULSE_BLOCK)
-    )
-    return _accumulate(cfg, params.c1, params, blocks)
+    work = partial(_impulse_paths, spec, params, cfg.master_seed, max_cycles=1_000_000)
+    with closing(_in_order(work, cfg.n_paths, _IMPULSE_BLOCK)) as results:
+        return _accumulate(cfg, params.c1, params, results)

@@ -1,4 +1,6 @@
 import json
+import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,11 @@ import dividend2d
 
 from dividend2d import NonConvergenceError, ScaleParams
 from dividend2d.cli import main
+
+
+#: runs the CLI in a fresh interpreter: ``python -c _CLI <src> <argv...>``
+_CLI = ("import sys; sys.path.insert(0, sys.argv[1]); from dividend2d.cli import main; "
+        "sys.exit(main(sys.argv[2:]))")
 
 
 def run(capsys, argv):
@@ -303,3 +310,51 @@ def test_scipy_stays_unloaded_off_the_quadrature_route():
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.splitlines()[-1] == "[] []"
+
+
+_ONE_BLOCK = """
+import sys
+from dividend2d.cli import main
+
+for argv in (
+    ["simulate", "barrier", "--paths", "1024", "--seed", "1", "--u1", "1", "--u2", "2",
+     "--a", "0.1", "--b", "14"],
+    ["simulate", "barrier", "--paths", "1024", "--seed", "1", "--u1", "0.4", "--u2", "0.6",
+     "--a", "0.9", "--b", "1.8"],
+    ["simulate", "impulse", "--paths", "128", "--seed", "1", "--u1", "3", "--u2", "2",
+     "--cost", "0.5"],
+    ["simulate", "impulse", "--paths", "2048", "--seed", "1", "--u1", "3", "--u2", "2",
+     "--cost", "0.5"],
+):
+    assert main(argv) == 0, argv
+print([m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")])
+"""
+
+
+def test_one_block_runs_start_no_worker_machinery():
+    # estimates of a single block run in process, without importing
+    # multiprocessing
+    src = str(Path(dividend2d.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + _ONE_BLOCK],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_multi_block_run_leaves_no_process_behind():
+    # the CLI runs in a session of its own, so its workers share its
+    # process group; once it has exited, no process is left in the group
+    src = str(Path(dividend2d.__file__).resolve().parents[1])
+    argv = ["simulate", "barrier", "--paths", "16401", "--seed", "2", "--u1", "0.4",
+            "--u2", "0.6", "--a", "0.9", "--b", "1.8"]
+    with subprocess.Popen(
+        [sys.executable, "-c", _CLI, src, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    ) as proc:
+        out, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err[-2000:]
+    assert "mc paths=16401" in out
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)

@@ -1,4 +1,8 @@
+import concurrent.futures
 import math
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -509,3 +513,138 @@ def test_impulse_ruin_cause_company2_alone():
     cfg = SimConfig(n_paths=50, master_seed=1)
     assert estimate_impulse_moments(ImpulseSpec(3.0, 2.0, 0.5), const, cfg).n_ruin_company2 == 50
     assert estimate_impulse_moments(ImpulseSpec(2.0, 3.0, 0.5), const, cfg).n_ruin_company2 == 0
+
+
+# ---------------------------------------------------------------------------
+# blocks on worker processes
+
+
+def _cores(monkeypatch, n):
+    """Make the simulator see ``n`` cores to run on."""
+    monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize(
+    "u, a, b",
+    [
+        (Reserves(1.0, 2.0), 0.1, 14.0),  # barrier-long
+        (Reserves(0.4, 0.6), 0.9, 1.8),  # barrier-short
+        (Reserves(0.0, 0.2), 0.9, 1.8),  # criterion-4 configuration 5
+    ],
+)
+def test_barrier_estimates_do_not_depend_on_the_core_count(params, monkeypatch, u, a, b):
+    bar = BarrierSpec.reflection(a, b, params)
+    cfg = SimConfig(n_paths=2 * simulate._BLOCK + 17, master_seed=16, moment_orders=(1, 2))
+    runs = []
+    for cores in (1, 2):
+        _cores(monkeypatch, cores)
+        runs.append(estimate_barrier_moments(u, bar, params, cfg))
+    assert simulate._pool is not None
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("spec", [ImpulseSpec(3.0, 2.0, 0.5), ImpulseSpec(1.0, 2.0, 0.5)])
+def test_impulse_estimates_do_not_depend_on_the_core_count(params, monkeypatch, spec):
+    cfg = SimConfig(n_paths=3 * simulate._IMPULSE_BLOCK + 5, master_seed=16, moment_orders=(1, 2))
+    runs = []
+    for cores in (1, 2):
+        _cores(monkeypatch, cores)
+        runs.append(estimate_impulse_moments(spec, params, cfg))
+    assert simulate._pool is not None
+    assert runs[0] == runs[1]
+
+
+def test_one_core_starts_no_worker(params, barrier, monkeypatch):
+    monkeypatch.setattr(simulate, "_pool", None)
+    monkeypatch.setattr(simulate, "_BLOCK", 100)
+    _cores(monkeypatch, 1)
+    cfg = SimConfig(n_paths=300, master_seed=5)
+    estimate_barrier_moments(Reserves(1.0, 2.0), barrier, params, cfg)
+    assert simulate._pool is None
+
+
+def test_claims_that_cannot_be_pickled_run_in_process(monkeypatch):
+    # a lambda inverse CDF cannot reach a worker, so every block runs here
+    const = _constant_claims(0.3)
+    bar = BarrierSpec.reflection(0.1, 14.0, const)
+    cfg = SimConfig(n_paths=300, master_seed=5, max_time=20.0)
+    monkeypatch.setattr(simulate, "_BLOCK", 100)
+    _cores(monkeypatch, 1)
+    want = estimate_barrier_moments(Reserves(1.0, 2.0), bar, const, cfg)
+    monkeypatch.setattr(simulate, "_pool", None)
+    _cores(monkeypatch, 2)
+    assert estimate_barrier_moments(Reserves(1.0, 2.0), bar, const, cfg) == want
+    assert simulate._pool is None
+
+
+def test_a_pool_made_by_another_process_is_not_used(monkeypatch):
+    # as after a fork: the module holds the parent's pool
+    inherited = object()
+    monkeypatch.setattr(simulate, "_pool", inherited)
+    monkeypatch.setattr(simulate, "_pool_pid", os.getppid())
+    pool = simulate._worker_pool(1)
+    try:
+        assert pool is not inherited and simulate._pool_pid == os.getpid()
+        assert simulate._worker_pool(1) is pool
+    finally:
+        pool.shutdown()
+
+
+def _slow_block(paths):
+    time.sleep(0.2)
+    return paths
+
+
+def test_blocks_pending_when_the_consumer_stops_are_cancelled(monkeypatch):
+    _cores(monkeypatch, 2)
+    monkeypatch.setattr(simulate, "_AHEAD", 10)
+    pool = simulate._worker_pool(1)
+    submitted = []
+
+    def submit(fn, *args):
+        submitted.append(type(pool).submit(pool, fn, *args))
+        return submitted[-1]
+
+    monkeypatch.setattr(pool, "submit", submit)
+    blocks = simulate._in_order(_slow_block, 400, 10)
+    assert np.array_equal(next(blocks), np.arange(10))
+    blocks.close()
+    assert len(submitted) == 10
+    # the worker finishes about one block while this process runs block 0,
+    # and holds at most three more running or queued; the rest never start
+    assert sum(f.cancelled() for f in submitted) >= len(submitted) - 5
+    done, running = concurrent.futures.wait(submitted, timeout=60)
+    assert not running
+
+
+def test_an_estimate_stopped_early_leaves_the_pool_usable(params, barrier, monkeypatch):
+    u, cfg = Reserves(1.0, 2.0), SimConfig(n_paths=1000, master_seed=9, moment_orders=(1, 2))
+    monkeypatch.setattr(simulate, "_BLOCK", 100)
+    _cores(monkeypatch, 1)
+    want = estimate_barrier_moments(u, barrier, params, cfg)
+    _cores(monkeypatch, 2)
+
+    def interrupted(total, terms):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_add_in_order", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            estimate_barrier_moments(u, barrier, params, cfg)
+    assert estimate_barrier_moments(u, barrier, params, cfg) == want
+
+
+def test_a_broken_pool_raises_and_the_next_estimate_starts_a_new_one(params, barrier, monkeypatch):
+    u, cfg = Reserves(1.0, 2.0), SimConfig(n_paths=300, master_seed=10)
+    monkeypatch.setattr(simulate, "_BLOCK", 100)
+    _cores(monkeypatch, 1)
+    want = estimate_barrier_moments(u, barrier, params, cfg)
+    _cores(monkeypatch, 2)
+    broken = simulate._worker_pool(1)
+    with pytest.raises(BrokenProcessPool):
+        broken.submit(os._exit, 1).result(timeout=60)  # the worker dies
+    with pytest.raises(BrokenProcessPool):
+        estimate_barrier_moments(u, barrier, params, cfg)
+    assert simulate._pool is None
+    assert estimate_barrier_moments(u, barrier, params, cfg) == want
+    assert simulate._pool not in (None, broken)
