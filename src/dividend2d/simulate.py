@@ -41,9 +41,12 @@ estimate of two or more blocks runs them on every core the process may
 use: the calling process takes every ``n``-th block and ``n - 1`` forked
 worker processes the others, in one pool made on first use and kept for
 the life of the process (the kernels hold the interpreter lock, so
-threads would not help).  Estimates of one block, single paths, traces
-and estimates whose claim distribution cannot be pickled run in the
-calling process alone.
+threads would not help).  Estimates of one block, single paths, traces,
+estimates with claims other than ``ExponentialClaims`` (a worker would run
+the user's inverse CDF as it was when the pool forked) and platforms
+without ``os.sched_getaffinity`` or ``os.fork`` run in the calling
+process alone.  Workers ignore SIGINT, so Ctrl-C stops the caller and
+leaves the pool usable.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ import numpy as np
 from .model import (
     ON_LINE_TOL,
     BarrierSpec,
+    ExponentialClaims,
     ModelParams,
     ParameterError,
     Reserves,
@@ -855,11 +859,16 @@ def _worker_pool(workers: int):
     if _pool is None or _pool_pid != os.getpid():
         import atexit
         import multiprocessing
+        import signal
         from concurrent.futures import ProcessPoolExecutor
 
         # workers are forked, so they hold the module state of this
-        # process as it is when the pool starts them
-        _pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+        # process as it is when the pool starts them.  Ctrl-C reaches the
+        # whole process group; the caller handles it, the workers ignore it
+        _pool = ProcessPoolExecutor(
+            workers, multiprocessing.get_context("fork"),
+            initializer=signal.signal, initargs=(signal.SIGINT, signal.SIG_IGN),
+        )
         _pool_pid = os.getpid()
         # the interpreter's exit hook shuts the pool down; letting go of it
         # before modules are torn down keeps its finalizer working
@@ -867,26 +876,24 @@ def _worker_pool(workers: int):
     return _pool
 
 
-def _picklable(obj) -> bool:
-    import pickle
-
-    try:
-        pickle.dumps(obj)
-    except (pickle.PicklingError, AttributeError, TypeError):
-        return False
-    return True
+def _cores() -> int:
+    """Cores this process may run on; 1 where the platform cannot tell or
+    cannot fork."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
-def _in_order(work, n_paths: int, size: int) -> Iterator[_Results]:
+def _in_order(work, n_paths: int, size: int, forkable: bool) -> Iterator[_Results]:
     """``work(paths)`` for each block ``paths`` of ``size`` consecutive path
     indices below ``n_paths``, yielded in path order.
 
-    With two or more blocks and ``n >= 2`` cores to run on, block ``i``
-    runs in this process when ``i % n == 0`` and in a forked worker
-    otherwise, submitted at most ``_AHEAD * n`` blocks ahead of the one
-    being yielded.  A ``work`` that cannot be pickled (say, claims drawn
-    through a lambda) runs every block here.  Blocks still pending when
-    the consumer stops are cancelled.  A broken pool raises
+    With two or more blocks, a ``forkable`` ``work`` (one whose arguments
+    are library values, so a worker forked earlier runs the same code) and
+    ``n >= 2`` cores to run on, block ``i`` runs in this process when
+    ``i % n == 0`` and in a forked worker otherwise, submitted at most
+    ``_AHEAD * n`` blocks ahead of the one being yielded.  Blocks still
+    pending when the consumer stops are cancelled.  A broken pool raises
     ``BrokenProcessPool`` and is dropped, so the next call starts a new
     one.
     """
@@ -894,8 +901,9 @@ def _in_order(work, n_paths: int, size: int) -> Iterator[_Results]:
     def paths(i):
         return np.arange(i * size, min(i * size + size, n_paths))
 
-    n_blocks, n = -(-n_paths // size), len(os.sched_getaffinity(0))
-    if n_blocks < 2 or n < 2 or not _picklable(work):
+    n_blocks = -(-n_paths // size)
+    n = _cores() if n_blocks >= 2 and forkable else 1
+    if n < 2:
         for i in range(n_blocks):
             yield work(paths(i))
         return
@@ -932,7 +940,8 @@ def estimate_barrier_moments(
     _check_start(u)
     max_time = cfg.max_time if cfg.max_time is not None else default_max_time(params, barrier.delta0)
     work = partial(_barrier_paths, u, barrier, params, max_time, cfg.master_seed)
-    with closing(_in_order(work, cfg.n_paths, _BLOCK)) as results:
+    forkable = type(params.claims) is ExponentialClaims
+    with closing(_in_order(work, cfg.n_paths, _BLOCK, forkable)) as results:
         return _accumulate(cfg, barrier.delta0, params, results)
 
 
@@ -953,5 +962,6 @@ def estimate_impulse_moments(
             f"impulse paths are censored by cycle count; max_time must be None, got {cfg.max_time}"
         )
     work = partial(_impulse_paths, spec, params, cfg.master_seed, max_cycles=1_000_000)
-    with closing(_in_order(work, cfg.n_paths, _IMPULSE_BLOCK)) as results:
+    forkable = type(params.claims) is ExponentialClaims
+    with closing(_in_order(work, cfg.n_paths, _IMPULSE_BLOCK, forkable)) as results:
         return _accumulate(cfg, params.c1, params, results)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import os
+import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -563,17 +564,58 @@ def test_one_core_starts_no_worker(params, barrier, monkeypatch):
     assert simulate._pool is None
 
 
-def test_claims_that_cannot_be_pickled_run_in_process(monkeypatch):
-    # a lambda inverse CDF cannot reach a worker, so every block runs here
-    const = _constant_claims(0.3)
-    bar = BarrierSpec.reflection(0.1, 14.0, const)
-    cfg = SimConfig(n_paths=300, master_seed=5, max_time=20.0)
+#: scale of ``_scaled_claims``, changed by a test after the pool exists
+_CLAIM_SCALE = 0.5
+
+
+def _scaled_claims(u):
+    return -np.log1p(-u) * _CLAIM_SCALE
+
+
+def test_claims_changed_after_the_pool_started_give_the_same_estimate(params, barrier,
+                                                                     monkeypatch):
+    # a module-level inverse CDF pickles by reference, so a worker forked
+    # earlier would run it with the globals of its fork
+    monkeypatch.setattr(simulate, "_BLOCK", 100)
+    u, cfg = Reserves(1.0, 2.0), SimConfig(n_paths=300, master_seed=12, max_time=20.0)
+    _cores(monkeypatch, 2)
+    estimate_barrier_moments(u, barrier, params, cfg)
+    assert simulate._pool is not None
+    model = ModelParams(c1=4.0, c2=3.0, lam=1.0, q=0.1,
+                        claims=SampledClaims(inverse_cdf=_scaled_claims, mean_value=0.5))
+    bar = BarrierSpec.reflection(0.1, 14.0, model)
+    before = estimate_barrier_moments(u, bar, model, cfg)
+    monkeypatch.setitem(globals(), "_CLAIM_SCALE", 0.25)
+    runs = []
+    for cores in (1, 2):
+        _cores(monkeypatch, cores)
+        runs.append(estimate_barrier_moments(u, bar, model, cfg))
+    assert runs[0] == runs[1] != before
+
+
+def test_ctrl_c_leaves_the_pool_usable(params, barrier, monkeypatch):
+    u, cfg = Reserves(1.0, 2.0), SimConfig(n_paths=300, master_seed=11)
     monkeypatch.setattr(simulate, "_BLOCK", 100)
     _cores(monkeypatch, 1)
-    want = estimate_barrier_moments(Reserves(1.0, 2.0), bar, const, cfg)
-    monkeypatch.setattr(simulate, "_pool", None)
+    want = estimate_barrier_moments(u, barrier, params, cfg)
     _cores(monkeypatch, 2)
-    assert estimate_barrier_moments(Reserves(1.0, 2.0), bar, const, cfg) == want
+    pool = simulate._worker_pool(1)
+    # Ctrl-C in a terminal signals the whole process group, workers included
+    os.kill(pool.submit(os.getpid).result(timeout=60), signal.SIGINT)
+    time.sleep(0.5)
+    assert estimate_barrier_moments(u, barrier, params, cfg) == want
+    assert simulate._pool is pool
+
+
+@pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
+def test_platforms_without_affinity_or_fork_run_in_process(params, barrier, monkeypatch,
+                                                           missing):
+    u = Reserves(1.0, 2.0)
+    monkeypatch.setattr(simulate, "_pool", None)
+    monkeypatch.setattr(simulate, "_BLOCK", 100)
+    monkeypatch.delattr(simulate.os, missing)
+    for n_paths in (100, 300):
+        estimate_barrier_moments(u, barrier, params, SimConfig(n_paths=n_paths, master_seed=5))
     assert simulate._pool is None
 
 
@@ -606,7 +648,7 @@ def test_blocks_pending_when_the_consumer_stops_are_cancelled(monkeypatch):
         return submitted[-1]
 
     monkeypatch.setattr(pool, "submit", submit)
-    blocks = simulate._in_order(_slow_block, 400, 10)
+    blocks = simulate._in_order(_slow_block, 400, 10, True)
     assert np.array_equal(next(blocks), np.arange(10))
     blocks.close()
     assert len(submitted) == 10
