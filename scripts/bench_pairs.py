@@ -13,16 +13,22 @@ end-to-end metric that the same file declares, the summary holds the
 per-pair values, each side's median and quartiles, and how many pairs
 the change won (ties count for neither side); for each side it also
 holds the failed and attempted operations and the runs whose checks did
-not all pass.  An existing ``--out`` file keeps the workloads this call
-does not run.
+not all pass.  Before each pair, ``parallel_speedup`` records whether a
+second core was free: the time of a fixed pure-Python spin run twice in
+this process over the time of the same two spins run at once, one here
+and one in a forked child (about 2 with a free second core, 1 without);
+the summary holds it per pair.  An existing ``--out`` file keeps the
+workloads this call does not run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from statistics import median, quantiles
 
@@ -59,6 +65,31 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
+def spin(n: int = 5_000_000) -> int:
+    total = 0
+    for i in range(n):
+        total += i
+    return total
+
+
+def parallel_speedup() -> float:
+    """Two spins in turn over two spins at once, here and in a forked child."""
+    start = time.perf_counter()
+    spin()
+    spin()
+    serial = time.perf_counter() - start
+    start = time.perf_counter()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            spin()
+        finally:
+            os._exit(0)
+    spin()
+    os.waitpid(pid, 0)
+    return serial / (time.perf_counter() - start)
+
+
 def spread(values: list[float]) -> dict:
     q1, q2, q3 = quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median(values), "q1": q1, "q3": q3, "quartile_distance": q3 - q1}
@@ -87,7 +118,9 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
         for side in SIDES
     }
     return {"n_pairs": len(pairs), "seeds": [p["seed"] for p in pairs],
-            "first": [p["first"] for p in pairs], "metrics": metrics, "operations": operations}
+            "first": [p["first"] for p in pairs],
+            "parallel_speedup": [p["parallel_speedup"] for p in pairs],
+            "metrics": metrics, "operations": operations}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -114,11 +147,11 @@ def main(argv: list[str] | None = None) -> int:
         pairs = []
         for i, seed in enumerate(parse_seeds(args.seeds)):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            pair = {"seed": seed, "first": order[0]}
+            pair = {"seed": seed, "first": order[0], "parallel_speedup": parallel_speedup()}
             for side in order:
                 pair[side] = run_once(trees[side], workload, seed, seconds)
             pairs.append(pair)
-            print(f"{workload} seed {seed}: " + ", ".join(
+            print(f"{workload} seed {seed} (parallel speedup {pair['parallel_speedup']:.2f}): " + ", ".join(
                 f"{m} {pair['base']['metrics'][m]['value']:.4g} -> {pair['change']['metrics'][m]['value']:.4g}"
                 for m in better), flush=True)
         workloads[workload] = summarise(pairs, better)

@@ -37,21 +37,25 @@ loop ran which of its cycles.
 Each block's results reach the moment reduction as arrays, whose sums add
 one path at a time in path order, so an estimate does not depend on how
 its paths are split into blocks, nor on where each block runs.  An
-estimate of two or more blocks runs them on every core the process may
-use: the calling process takes every ``n``-th block and ``n - 1`` forked
-worker processes the others, in one pool made on first use and kept for
-the life of the process (the kernels hold the interpreter lock, so
-threads would not help).  Estimates of one block, single paths, traces,
-estimates with claims other than ``ExponentialClaims`` (a worker would run
-the user's inverse CDF as it was when the pool forked) and platforms
-without ``os.sched_getaffinity`` or ``os.fork`` run in the calling
-process alone.  Workers ignore SIGINT, so Ctrl-C stops the caller and
-leaves the pool usable.
+estimate runs on every core the process may use: the calling process
+takes every ``n``-th block and ``n - 1`` forked worker processes the
+others, in one pool made on first use and kept for the life of the
+process (the kernels hold the interpreter lock, so threads would not
+help).  An estimate of fewer blocks than cores is first cut into one
+block per core, of at least ``_MIN_PART`` paths each; cut blocks cost
+more CPU per path, so only an estimate that runs on the pool is cut.
+These run in the calling process alone: estimates of one block below
+``2 * _MIN_PART`` paths, single paths, traces, estimates with claims other
+than ``ExponentialClaims`` (a worker would run the user's inverse CDF as
+it was when the pool forked), and every estimate on one core or on a
+platform without ``os.sched_getaffinity`` or ``os.fork``.  Workers ignore
+SIGINT, so Ctrl-C stops the caller and leaves the pool usable.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from contextlib import closing
 from dataclasses import dataclass
@@ -118,6 +122,13 @@ _FILL_COUNTERS = 1 << 13
 #: a long estimate does not pile up result arrays
 _AHEAD = 2
 
+#: fewest paths of a part when an estimate of fewer blocks than cores is
+#: cut into one part per core.  Two parts this size on two processes still
+#: beat their paths in one block, while an estimate of fewer paths than two
+#: parts (6-13 ms for 1024 barrier paths) costs less than starting the pool
+#: and its first round trip (25-32 ms), so it stays in process
+_MIN_PART = 1024
+
 # Philox4x32-10 multipliers and Weyl key increments
 _M0, _M1 = np.uint64(0xD2511F53), np.uint64(0xCD9E8D57)
 _W0, _W1 = 0x9E3779B9, 0xBB67AE85
@@ -134,14 +145,28 @@ class SimConfig:
     moment_orders: tuple[int, ...] = (1,)
 
     def __post_init__(self):
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths >= 1 required, got {self.n_paths}")
+        # integers (NumPy's too) are stored as ints; a float would truncate
+        # to another seed or path count, or give NaN moments
+        n_paths, seed = _integer(self.n_paths, "n_paths"), _integer(self.master_seed, "master_seed")
+        orders = tuple(_integer(n, "each moment order") for n in self.moment_orders)
+        if n_paths < 1:
+            raise ValueError(f"n_paths >= 1 required, got {n_paths}")
         if self.max_time is not None and not self.max_time > 0.0:
             raise ValueError(f"max_time > 0 required, got {self.max_time}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
-        if any(n < 1 for n in self.moment_orders):
-            raise ValueError("moment orders must be positive integers")
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"master_seed must lie in [0, 2**64), got {seed}")
+        if not orders or any(n < 1 for n in orders):
+            raise ValueError(f"moment orders must be positive integers, got {self.moment_orders}")
+        object.__setattr__(self, "n_paths", n_paths)
+        object.__setattr__(self, "master_seed", seed)
+        object.__setattr__(self, "moment_orders", orders)
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -888,21 +913,31 @@ def _in_order(work, n_paths: int, size: int, forkable: bool) -> Iterator[_Result
     """``work(paths)`` for each block ``paths`` of ``size`` consecutive path
     indices below ``n_paths``, yielded in path order.
 
-    With two or more blocks, a ``forkable`` ``work`` (one whose arguments
-    are library values, so a worker forked earlier runs the same code) and
-    ``n >= 2`` cores to run on, block ``i`` runs in this process when
+    A ``forkable`` ``work`` (one whose arguments are library values, so a
+    worker forked earlier runs the same code) may run on the ``n`` cores
+    this process may use.  When ``n >= 2`` and the estimate fills fewer
+    than ``n`` blocks, it is cut instead into ``k = min(n, n_paths //
+    _MIN_PART)`` blocks of ``ceil(n_paths / k)`` paths, if ``k >= 2``.
+    With two or more blocks, block ``i`` then runs in this process when
     ``i % n == 0`` and in a forked worker otherwise, submitted at most
-    ``_AHEAD * n`` blocks ahead of the one being yielded.  Blocks still
-    pending when the consumer stops are cancelled.  A broken pool raises
-    ``BrokenProcessPool`` and is dropped, so the next call starts a new
-    one.
+    ``_AHEAD * n`` blocks ahead of the one being yielded.  Everything else
+    (one core, one block of fewer than ``2 * _MIN_PART`` paths) runs in
+    this process, and the core count is read only when it can matter.
+    Blocks still pending when the consumer stops are cancelled.  A broken
+    pool raises ``BrokenProcessPool`` and is dropped, so the next call
+    starts a new one.
     """
+    n_blocks = -(-n_paths // size)
+    n = _cores() if forkable and (n_blocks >= 2 or n_paths >= 2 * _MIN_PART) else 1
+    if n_blocks < n:
+        k = min(n, n_paths // _MIN_PART)
+        if k >= 2:
+            size = -(-n_paths // k)
+            n_blocks = -(-n_paths // size)
 
     def paths(i):
         return np.arange(i * size, min(i * size + size, n_paths))
 
-    n_blocks = -(-n_paths // size)
-    n = _cores() if n_blocks >= 2 and forkable else 1
     if n < 2:
         for i in range(n_blocks):
             yield work(paths(i))

@@ -323,8 +323,6 @@ for argv in (
      "--a", "0.9", "--b", "1.8"],
     ["simulate", "impulse", "--paths", "128", "--seed", "1", "--u1", "3", "--u2", "2",
      "--cost", "0.5"],
-    ["simulate", "impulse", "--paths", "2048", "--seed", "1", "--u1", "3", "--u2", "2",
-     "--cost", "0.5"],
 ):
     assert main(argv) == 0, argv
 print([m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")])
@@ -332,8 +330,8 @@ print([m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurr
 
 
 def test_one_block_runs_start_no_worker_machinery():
-    # estimates of a single block run in process, without importing
-    # multiprocessing
+    # estimates of one block too small to cut (the runs the benchmark
+    # times for setup_s) run in process, without importing multiprocessing
     src = str(Path(dividend2d.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + _ONE_BLOCK],
@@ -343,18 +341,30 @@ def test_one_block_runs_start_no_worker_machinery():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def test_multi_block_run_leaves_no_process_behind():
-    # the CLI runs in a session of its own, so its workers share its
-    # process group; once it has exited, no process is left in the group
+def _run_in_own_session(argv: list[str]) -> str:
+    """Run the CLI in a session of its own, so its workers share its
+    process group; assert that it exits 0 and that no process is left in
+    the group once it has exited.  Returns its standard output."""
     src = str(Path(dividend2d.__file__).resolve().parents[1])
-    argv = ["simulate", "barrier", "--paths", "16401", "--seed", "2", "--u1", "0.4",
-            "--u2", "0.6", "--a", "0.9", "--b", "1.8"]
     with subprocess.Popen(
         [sys.executable, "-c", _CLI, src, *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
     ) as proc:
         out, err = proc.communicate(timeout=300)
     assert proc.returncode == 0, err[-2000:]
-    assert "mc paths=16401" in out
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, signal.SIGKILL)
+    return out
+
+
+def test_multi_block_run_leaves_no_process_behind():
+    argv = ["simulate", "barrier", "--paths", "16401", "--seed", "2", "--u1", "0.4",
+            "--u2", "0.6", "--a", "0.9", "--b", "1.8"]
+    assert "mc paths=16401" in _run_in_own_session(argv)
+
+
+def test_one_block_run_cut_for_the_workers_leaves_no_process_behind():
+    # one impulse block of 2 * _MIN_PART paths is cut into one part per core
+    argv = ["simulate", "impulse", "--paths", "2048", "--seed", "1", "--u1", "3", "--u2", "2",
+            "--cost", "0.5"]
+    assert "mc paths=2048" in _run_in_own_session(argv)

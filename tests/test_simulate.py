@@ -4,6 +4,8 @@ import os
 import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -413,6 +415,21 @@ def test_seed_outside_the_key_range_is_rejected():
     assert SimConfig(n_paths=10, master_seed=2**64 - 1).master_seed == 2**64 - 1
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"master_seed": 9.7}, "master_seed must be an integer"),  # ran as seed 9
+    ({"n_paths": 200.5}, "n_paths must be an integer"),  # failed deep in the block split
+    ({"moment_orders": (1.5,)}, "each moment order must be an integer"),  # NaN for D < 0
+    ({"moment_orders": ()}, "moment orders must be positive integers"),  # no moments at all
+])
+def test_config_rejects_non_integers_and_no_moment_orders(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        SimConfig(**{"n_paths": 200, "master_seed": 9, **kwargs})
+    # NumPy integers are integers, stored as ints
+    cfg = SimConfig(np.int64(200), np.uint64(9), moment_orders=(np.int32(1), 2))
+    assert cfg == SimConfig(200, 9, moment_orders=(1, 2))
+    assert type(cfg.n_paths) is type(cfg.master_seed) is type(cfg.moment_orders[0]) is int
+
+
 @pytest.mark.parametrize("max_time", [-5.0, 0.0, math.nan])
 def test_horizon_must_be_positive(max_time):
     # a horizon at or before t = 0 censored every path and reported mean 0
@@ -525,6 +542,27 @@ def _cores(monkeypatch, n):
     monkeypatch.setattr(simulate.os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+def _compare_core_counts(monkeypatch, estimate, sizes):
+    """Assert that ``estimate(cfg)`` of each of ``sizes`` paths is the same on
+    one core and on two; return the set of sizes whose two-core run gave a
+    worker a block."""
+    pooled, worker_pool = set(), simulate._worker_pool
+
+    def recording(workers):
+        pool = worker_pool(workers)
+        return SimpleNamespace(submit=lambda *args: pooled.add(n_paths) or pool.submit(*args))
+
+    monkeypatch.setattr(simulate, "_worker_pool", recording)
+    for n_paths in sizes:
+        cfg = SimConfig(n_paths=n_paths, master_seed=16, moment_orders=(1, 2))
+        runs = []
+        for cores in (1, 2):
+            _cores(monkeypatch, cores)
+            runs.append(estimate(cfg))
+        assert runs[0] == runs[1], n_paths
+    return pooled
+
+
 @pytest.mark.parametrize(
     "u, a, b",
     [
@@ -534,25 +572,25 @@ def _cores(monkeypatch, n):
     ],
 )
 def test_barrier_estimates_do_not_depend_on_the_core_count(params, monkeypatch, u, a, b):
+    # two blocks and a bit, and one block, which two cores cut in halves
     bar = BarrierSpec.reflection(a, b, params)
-    cfg = SimConfig(n_paths=2 * simulate._BLOCK + 17, master_seed=16, moment_orders=(1, 2))
-    runs = []
-    for cores in (1, 2):
-        _cores(monkeypatch, cores)
-        runs.append(estimate_barrier_moments(u, bar, params, cfg))
+    sizes = [2 * simulate._BLOCK + 17, simulate._BLOCK]
+    pooled = _compare_core_counts(monkeypatch, partial(estimate_barrier_moments, u, bar, params),
+                                  sizes)
     assert simulate._pool is not None
-    assert runs[0] == runs[1]
+    assert pooled == set(sizes)
 
 
 @pytest.mark.parametrize("spec", [ImpulseSpec(3.0, 2.0, 0.5), ImpulseSpec(1.0, 2.0, 0.5)])
 def test_impulse_estimates_do_not_depend_on_the_core_count(params, monkeypatch, spec):
-    cfg = SimConfig(n_paths=3 * simulate._IMPULSE_BLOCK + 5, master_seed=16, moment_orders=(1, 2))
-    runs = []
-    for cores in (1, 2):
-        _cores(monkeypatch, cores)
-        runs.append(estimate_impulse_moments(spec, params, cfg))
+    # several blocks; one block too small to cut; one block cut into two
+    # parts of _MIN_PART paths; a full block and a block of one path
+    sizes = [3 * simulate._IMPULSE_BLOCK + 5, 2 * simulate._MIN_PART - 1, 2 * simulate._MIN_PART,
+             simulate._IMPULSE_BLOCK + 1]
+    pooled = _compare_core_counts(monkeypatch, partial(estimate_impulse_moments, spec, params),
+                                  sizes)
     assert simulate._pool is not None
-    assert runs[0] == runs[1]
+    assert pooled == {sizes[0], *sizes[2:]}
 
 
 def test_one_core_starts_no_worker(params, barrier, monkeypatch):
