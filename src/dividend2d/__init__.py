@@ -50,7 +50,6 @@ from .model import (
     UnsupportedDistributionError,
     classify_point,
     validate_barrier,
-    validate_model,
 )
 from .optimize import RefineResult, SweepResult, refine_barrier, sweep_barrier, sweep_to_csv
 from .scale import ScaleParams, TiltedModel, laplace_exponent, phi_inverse, scale_params

@@ -27,8 +27,6 @@ from .model import (
     Reserves,
     classify_point,
     require_exponential,
-    validate_barrier,
-    validate_model,
 )
 
 _INTEGRAL_TOL = 1e-10  # absolute, for the claim integral in the PIDE residual
@@ -108,8 +106,6 @@ def v1_barrier(
     the built sequences (last-term magnitude; the term ratio decays to 0
     so this is conservative).
     """
-    validate_model(params)
-    validate_barrier(barrier, params)
     if not 0.0 < tol < math.inf:
         raise ParameterError([f"0 < tol < inf violated ({tol})"])
     _check_domain(u, barrier, params)
@@ -148,8 +144,6 @@ def v1_values(
     bit; the truncation diagnostics are left out.  A point outside the
     series domain raises the error ``v1_barrier`` would raise for it.
     """
-    validate_model(params)
-    validate_barrier(barrier, params)
     _check_method(barrier, params)
     u1, u2 = np.broadcast_arrays(np.asarray(u1, dtype=float), np.asarray(u2, dtype=float))
     inside = (

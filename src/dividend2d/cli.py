@@ -31,7 +31,6 @@ from .model import (
     ParameterError,
     Reserves,
     UnsupportedDistributionError,
-    validate_model,
 )
 from .optimize import sweep_barrier, sweep_to_csv
 from .scale import laplace_exponent, phi_inverse, scale_params
@@ -59,18 +58,22 @@ def load_params(config_path: str | None, overrides: dict[str, float | None]) -> 
         unknown = set(doc) - _CONFIG_KEYS
         if unknown:
             raise ParameterError([f"unknown config keys: {sorted(unknown)}"])
+        # JSON true and false load as ints, and would pass as 1 and 0
+        bad = sorted(k for k, v in doc.items()
+                     if isinstance(v, bool) or not isinstance(v, (int, float)))
+        if bad:
+            raise ParameterError([f"config values must be JSON numbers: {bad}"])
         values.update({k: float(v) for k, v in doc.items()})
     for key, val in overrides.items():
         if val is not None:
             values[key] = val
-    params = ModelParams(
+    return ModelParams(
         c1=values["c1"],
         c2=values["c2"],
         lam=values["lambda"],
         claims=ExponentialClaims(rate=values["alpha"]),
         q=values["q"],
     )
-    return validate_model(params)
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:

@@ -39,8 +39,6 @@ from .model import (
     NonConvergenceError,
     ParameterError,
     require_exponential,
-    validate_barrier,
-    validate_model,
 )
 
 
@@ -340,8 +338,6 @@ def build_sequences(
     totals, but never before ``min_terms``.  E then zeroes the value at
     (0, b) by construction, up to the shared truncation.
     """
-    validate_model(params)
-    validate_barrier(barrier, params)
     require_exponential(params.claims)
     if not barrier.is_reflection(params):
         raise ParameterError(

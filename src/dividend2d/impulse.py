@@ -30,7 +30,6 @@ from .model import (
     NonConvergenceError,
     ParameterError,
     require_exponential,
-    validate_model,
 )
 from .scale import TiltedModel, phi_inverse, scale_params
 
@@ -172,7 +171,6 @@ def impulse_v1_high(spec: ImpulseSpec, params: ModelParams) -> ImpulseValuation:
     (for the crossing-time moment) are two-sided exit identities in the
     scale function, integrated against the claim density in closed form.
     """
-    validate_model(params)
     alpha = require_exponential(params.claims).rate
     if not spec.u1 > spec.u2:
         raise ParameterError(
@@ -394,7 +392,6 @@ def impulse_v1_low(spec: ImpulseSpec, params: ModelParams) -> ImpulseValuation:
     reused at every q so the difference quotient is not polluted by node
     changes.
     """
-    validate_model(params)
     require_exponential(params.claims)
     if not spec.u1 <= spec.u2:
         raise ParameterError(

@@ -105,6 +105,9 @@ class ModelParams:
     lam      claim arrival intensity (per time)
     claims   claim-size distribution, shared by both companies
     q        discount rate (per time)
+
+    Construction raises :class:`ParameterError` with every condition of
+    :func:`model_violations` that fails, so a model that exists is valid.
     """
 
     c1: float
@@ -113,18 +116,27 @@ class ModelParams:
     claims: ClaimDistribution
     q: float
 
+    def __post_init__(self):
+        v = model_violations(self)
+        if v:
+            raise ParameterError(v)
+
 
 def model_violations(params: ModelParams) -> list[str]:
     """All violated validity conditions of ``params`` (empty when valid)."""
     v = []
     if not params.c1 > params.c2:
         v.append(f"c1 > c2 violated ({params.c1} <= {params.c2})")
+    if not params.c1 < math.inf:
+        v.append(f"c1 < inf violated ({params.c1})")
     if not params.c2 > 0.0:
         v.append(f"c2 > 0 violated ({params.c2})")
     if not params.lam > 0.0:
         v.append(f"lambda > 0 violated ({params.lam})")
     if not params.q > 0.0:
         v.append(f"q > 0 violated ({params.q})")
+    if not params.q < math.inf:
+        v.append(f"q < inf violated ({params.q})")
     mean = params.claims.mean()
     if not (math.isfinite(mean) and mean > 0.0):
         v.append(f"claim mean must be finite and positive ({mean})")
@@ -135,17 +147,6 @@ def model_violations(params: ModelParams) -> list[str]:
         if not params.c2 > outflow:
             v.append(f"net profit for company 2 violated ({params.c2} <= {outflow})")
     return v
-
-
-def validate_model(params: ModelParams) -> ModelParams:
-    """Return ``params`` unchanged iff every condition holds, else raise.
-
-    The raised :class:`ParameterError` carries the complete violation list.
-    """
-    v = model_violations(params)
-    if v:
-        raise ParameterError(v)
-    return params
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, ParameterError, require_exponential
+from .model import ModelParams, require_exponential
 
 
 def laplace_exponent(theta, drift: float, lam: float, alpha: float):
@@ -100,8 +100,6 @@ def scale_params(params: ModelParams) -> ScaleParams:
     """Build :class:`ScaleParams` at drift ``c2``."""
     alpha = require_exponential(params.claims).rate
     drift = params.c2
-    if not params.q > 0.0:
-        raise ParameterError([f"q > 0 violated ({params.q})"])
     qp, qm, dqp, dqm = _exponent_roots(params.q, drift, params.lam, alpha)
     gap = qp - qm
     dgap = dqp - dqm
@@ -146,7 +144,5 @@ def phi_inverse(params: ModelParams) -> TiltedModel:
     positive root ``q_plus`` of ``psi(theta) = q``.
     """
     alpha = require_exponential(params.claims).rate
-    if not params.q > 0.0:
-        raise ParameterError([f"q > 0 violated ({params.q})"])
     qp, _, _, _ = _exponent_roots(params.q, params.c2, params.lam, alpha)
     return TiltedModel(phi=qp, lambda_q=params.lam * alpha / (alpha + qp), alpha_q=alpha + qp)

@@ -41,15 +41,18 @@ estimate runs on every core the process may use: the calling process
 takes every ``n``-th block and ``n - 1`` forked worker processes the
 others, in one pool made on first use and kept for the life of the
 process (the kernels hold the interpreter lock, so threads would not
-help).  An estimate of fewer blocks than cores is first cut into one
-block per core, of at least ``_MIN_PART`` paths each; cut blocks cost
-more CPU per path, so only an estimate that runs on the pool is cut.
-These run in the calling process alone: estimates of one block below
-``2 * _MIN_PART`` paths, single paths, traces, estimates with claims other
-than ``ExponentialClaims`` (a worker would run the user's inverse CDF as
-it was when the pool forked), and every estimate on one core or on a
-platform without ``os.sched_getaffinity`` or ``os.fork``.  Workers ignore
-SIGINT, so Ctrl-C stops the caller and leaves the pool usable.
+help).  An estimate is split into the fewest blocks of at most
+``_BLOCK`` barrier or ``_IMPULSE_BLOCK`` impulse paths, all of one size
+but the last, which may be shorter.  One that would fill fewer blocks
+than cores is cut instead into one block per core, of at least
+``_MIN_PART`` paths each; cut blocks cost more CPU per path, so only an
+estimate that runs on the pool is cut.  These run in the calling process
+alone: estimates of one block below ``2 * _MIN_PART`` paths, single
+paths, traces, estimates with claims other than ``ExponentialClaims`` (a
+worker would run the user's inverse CDF as it was when the pool forked),
+and every estimate on one core or on a platform without
+``os.sched_getaffinity`` or ``os.fork``.  Workers ignore SIGINT, so
+Ctrl-C stops the caller and leaves the pool usable.
 """
 
 from __future__ import annotations
@@ -72,7 +75,6 @@ from .model import (
     ParameterError,
     Reserves,
     validate_barrier,
-    validate_model,
 )
 from .impulse import ImpulseSpec
 
@@ -195,11 +197,17 @@ def default_max_time(params: ModelParams, payout_rate: float, bias_tol: float = 
     return math.log(payout_rate / (params.q * bias_tol)) / params.q
 
 
-def _check_start(u: Reserves) -> None:
+def _barrier_horizon(
+    u: Reserves, barrier: BarrierSpec, params: ModelParams, max_time: float | None
+) -> float:
+    """Check a barrier run from ``u`` and return its horizon: ``max_time``,
+    or ``default_max_time`` at the payout rate when that is None."""
+    validate_barrier(barrier, params)
     # the kernel tests ruin only after a claim, so a start outside the
     # quadrant would drift back in instead of counting as ruined
     if not (0.0 <= u.u1 < math.inf and 0.0 <= u.u2 < math.inf):
         raise ParameterError([f"start needs finite u1, u2 >= 0, got ({u.u1}, {u.u2})"])
+    return default_max_time(params, barrier.delta0) if max_time is None else max_time
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +272,7 @@ def _fill_streams(
 ) -> None:
     """Fill row ``j`` of ``ts``/``xs`` with the waiting times and claim
     sizes in columns ``start, start + 1, ...`` of path ``paths[j]``'s
-    stream.  ``lam = 0`` gives infinite waits."""
+    stream."""
     seed = int(master_seed)
     key = (seed & 0xFFFFFFFF, seed >> 32)
     column = np.arange(start, start + ts.shape[1], dtype=np.uint64)[None, :]
@@ -274,11 +282,10 @@ def _fill_streams(
         w0, w1, w2, w3 = _philox((column, np.uint64(0), path & _LO32, path >> _SHIFT32), key)
         u_t, u_x = _unit(w0, w1), _unit(w2, w3)
         del w0, w1, w2, w3  # before the inverse CDFs add their temporaries
-        with np.errstate(divide="ignore"):
-            np.negative(u_t, out=u_t)
-            np.log1p(u_t, out=u_t)
-            np.negative(u_t, out=u_t)
-            np.divide(u_t, params.lam, out=ts[lo : lo + step])
+        np.negative(u_t, out=u_t)
+        np.log1p(u_t, out=u_t)
+        np.negative(u_t, out=u_t)
+        np.divide(u_t, params.lam, out=ts[lo : lo + step])
         xs[lo : lo + step] = params.claims.ppf(u_x)
 
 
@@ -762,21 +769,6 @@ def _first_path(results: _Results) -> PathResult:
     return PathResult(float(D[0]), float(sigma[0]), bool(censored[0]), int(cause[0]))
 
 
-def _run_barrier_path(
-    u: Reserves,
-    barrier: BarrierSpec,
-    params: ModelParams,
-    rng: PathStream,
-    max_time: float,
-    trace: list | None = None,
-) -> PathResult:
-    """One path as a block of one."""
-    _check_start(u)
-    return _first_path(
-        _barrier_paths(u, barrier, params, max_time, rng.master_seed, np.array([rng.index]), trace)
-    )
-
-
 def simulate_refracted_path(
     u: Reserves,
     barrier: BarrierSpec,
@@ -784,13 +776,15 @@ def simulate_refracted_path(
     rng: PathStream,
     max_time: float | None = None,
 ) -> PathResult:
-    """One controlled path: discounted dividends and the ruin time.
+    """One controlled path, run as a block of one: discounted dividends and
+    the ruin time.
 
     ``sigma`` is the censoring horizon when the path is censored.
     """
-    if max_time is None:
-        max_time = default_max_time(params, barrier.delta0)
-    return _run_barrier_path(u, barrier, params, rng, max_time)
+    max_time = _barrier_horizon(u, barrier, params, max_time)
+    return _first_path(
+        _barrier_paths(u, barrier, params, max_time, rng.master_seed, np.array([rng.index]))
+    )
 
 
 def trace_refracted_path(
@@ -801,10 +795,9 @@ def trace_refracted_path(
     max_time: float | None = None,
 ) -> list[tuple[float, float, float, str]]:
     """Event log (t, y1, y2, event) of a single path, for debugging."""
-    if max_time is None:
-        max_time = default_max_time(params, barrier.delta0)
-    rows: list = []
-    _run_barrier_path(u, barrier, params, _path_rng(seed, 0), max_time, trace=rows)
+    max_time = _barrier_horizon(u, barrier, params, max_time)
+    rng, rows = _path_rng(seed, 0), []
+    _barrier_paths(u, barrier, params, max_time, rng.master_seed, np.array([rng.index]), rows)
     return [(t, y1, y2, TRACE_EVENTS[ev]) for t, y1, y2, ev in rows]
 
 
@@ -910,30 +903,28 @@ def _cores() -> int:
 
 
 def _in_order(work, n_paths: int, size: int, forkable: bool) -> Iterator[_Results]:
-    """``work(paths)`` for each block ``paths`` of ``size`` consecutive path
-    indices below ``n_paths``, yielded in path order.
+    """``work(paths)`` for each block ``paths`` of consecutive path indices
+    below ``n_paths``, yielded in path order.
 
     A ``forkable`` ``work`` (one whose arguments are library values, so a
     worker forked earlier runs the same code) may run on the ``n`` cores
-    this process may use.  When ``n >= 2`` and the estimate fills fewer
-    than ``n`` blocks, it is cut instead into ``k = min(n, n_paths //
-    _MIN_PART)`` blocks of ``ceil(n_paths / k)`` paths, if ``k >= 2``.
-    With two or more blocks, block ``i`` then runs in this process when
-    ``i % n == 0`` and in a forked worker otherwise, submitted at most
-    ``_AHEAD * n`` blocks ahead of the one being yielded.  Everything else
-    (one core, one block of fewer than ``2 * _MIN_PART`` paths) runs in
-    this process, and the core count is read only when it can matter.
+    this process may use.  The paths are split into ``k = max(ceil(n_paths
+    / size), min(n, n_paths // _MIN_PART))`` blocks of ``ceil(n_paths /
+    k)`` paths (the last may be shorter): at most ``size`` paths each, and
+    one block per core, of at least ``_MIN_PART`` paths, when there would
+    be fewer.  With two or more blocks, block ``i`` runs in this process
+    when ``i % n == 0`` and in a forked worker otherwise, submitted at
+    most ``_AHEAD * n`` blocks ahead of the one being yielded.  Everything
+    else (one core, one block of fewer than ``2 * _MIN_PART`` paths) runs
+    in this process, and the core count is read only when it can matter.
     Blocks still pending when the consumer stops are cancelled.  A broken
     pool raises ``BrokenProcessPool`` and is dropped, so the next call
     starts a new one.
     """
     n_blocks = -(-n_paths // size)
     n = _cores() if forkable and (n_blocks >= 2 or n_paths >= 2 * _MIN_PART) else 1
-    if n_blocks < n:
-        k = min(n, n_paths // _MIN_PART)
-        if k >= 2:
-            size = -(-n_paths // k)
-            n_blocks = -(-n_paths // size)
+    size = -(-n_paths // max(n_blocks, min(n, n_paths // _MIN_PART)))
+    n_blocks = -(-n_paths // size)
 
     def paths(i):
         return np.arange(i * size, min(i * size + size, n_paths))
@@ -970,10 +961,7 @@ def estimate_barrier_moments(
     The reported truncation bound is the exact censoring-tail bound
     e^{-q max_time} * delta0 / q scaled by the censored fraction.
     """
-    validate_model(params)
-    validate_barrier(barrier, params)
-    _check_start(u)
-    max_time = cfg.max_time if cfg.max_time is not None else default_max_time(params, barrier.delta0)
+    max_time = _barrier_horizon(u, barrier, params, cfg.max_time)
     work = partial(_barrier_paths, u, barrier, params, max_time, cfg.master_seed)
     forkable = type(params.claims) is ExponentialClaims
     with closing(_in_order(work, cfg.n_paths, _BLOCK, forkable)) as results:
@@ -991,7 +979,6 @@ def estimate_impulse_moments(
     the larger premium forever.  Paths are censored after a million
     cycles, not at a time horizon, so ``cfg.max_time`` must be None.
     """
-    validate_model(params)
     if cfg.max_time is not None:
         raise ValueError(
             f"impulse paths are censored by cycle count; max_time must be None, got {cfg.max_time}"

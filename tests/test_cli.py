@@ -183,6 +183,40 @@ def test_config_that_is_not_an_object(tmp_path, capsys, doc):
     assert out.startswith("error: config must be a JSON object")
 
 
+@pytest.mark.parametrize("value", ["null", "true", "false", '"4"', "[4]", '{"c1": 4}'])
+def test_config_values_that_are_not_numbers(tmp_path, capsys, value):
+    # null and [4] ended in a TypeError traceback, true was read as 1.0
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(f'{{"c2": 3, "c1": {value}}}')
+    rc, out = run(capsys, ["table", "1", "--config", str(cfg)])
+    assert rc == 2
+    assert out == "error: config values must be JSON numbers: ['c1']\n"
+
+
+_COMMANDS = {
+    "value-impulse": ["value-impulse", "--u1", "3", "--u2", "2", "--cost", "0.5"],
+    "simulate impulse": ["simulate", "impulse", "--paths", "10", "--seed", "1", "--u1", "3",
+                         "--u2", "2", "--cost", "0.5"],
+    "simulate barrier": ["simulate", "barrier", "--paths", "10", "--seed", "1", "--u1", "1",
+                         "--u2", "2", "--a", "0.1", "--b", "14"],
+    "value-barrier": ["value-barrier", "--u1", "1", "--u2", "2", "--a", "0.1", "--b", "14"],
+    "table 1": ["table", "1"],
+    "optimize": ["optimize", "--u1", "1", "--u2", "2", "--a-grid", "0.1", "--b-grid", "14"],
+    "validate": ["validate"],
+}
+
+
+@pytest.mark.parametrize("flag", ["--c1", "--q"])
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_infinite_rate_is_bad_input(capsys, command, flag):
+    # --c1 inf printed V1 = inf or mean=inf with exit 0; --q inf printed
+    # mean=nan with exit 0 or exited 3 as a numerical error
+    rc, out = run(capsys, [*_COMMANDS[command], flag, "inf"])
+    assert rc == 2
+    assert out.startswith("error: ") and out.count("\n") == 1
+    assert f"{flag[2:]} < inf violated (inf)" in out
+
+
 def test_nonconvergence_exit_code(capsys, monkeypatch):
     import dividend2d.cli as cli
 

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,34 +16,44 @@ from dividend2d import (
     UnsupportedDistributionError,
     classify_point,
     validate_barrier,
-    validate_model,
 )
 from dividend2d.model import ON_LINE_TOL, model_violations, require_exponential
 
 
 def test_example_params_valid(params):
-    assert validate_model(params) is params
+    assert model_violations(params) == []
 
 
 def test_c1_equal_c2_rejected(params):
-    bad = ModelParams(c1=3.0, c2=3.0, lam=1.0, claims=params.claims, q=0.1)
     with pytest.raises(ParameterError, match="c1 > c2"):
-        validate_model(bad)
+        ModelParams(c1=3.0, c2=3.0, lam=1.0, claims=params.claims, q=0.1)
 
 
 def test_net_profit_company2_rejected(params):
     # lam * E[U] = 0.5 exceeds c2 = 0.4
-    bad = ModelParams(c1=4.0, c2=0.4, lam=1.0, claims=params.claims, q=0.1)
     with pytest.raises(ParameterError, match="net profit for company 2"):
-        validate_model(bad)
+        ModelParams(c1=4.0, c2=0.4, lam=1.0, claims=params.claims, q=0.1)
 
 
 def test_all_violations_reported():
-    bad = ModelParams(c1=2.0, c2=3.0, lam=-1.0, claims=ExponentialClaims(2.0), q=0.0)
-    v = model_violations(bad)
+    with pytest.raises(ParameterError) as err:
+        ModelParams(c1=2.0, c2=3.0, lam=-1.0, claims=ExponentialClaims(2.0), q=0.0)
+    v = err.value.violations
     assert len(v) >= 3
     joined = " ".join(v)
     assert "c1 > c2" in joined and "lambda" in joined and "q > 0" in joined
+
+
+@pytest.mark.parametrize("c1, q, match", [(math.inf, 0.1, "c1 < inf"), (4.0, math.inf, "q < inf")])
+def test_infinite_rate_rejected(params, c1, q, match):
+    # the only non-finite values that meet every other condition
+    with pytest.raises(ParameterError, match=match):
+        ModelParams(c1=c1, c2=3.0, lam=1.0, claims=params.claims, q=q)
+
+
+def test_replaced_model_is_checked(params):
+    with pytest.raises(ParameterError, match="q > 0"):
+        dataclasses.replace(params, q=0.0)
 
 
 def test_exponential_claims():

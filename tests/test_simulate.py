@@ -87,9 +87,10 @@ def test_block_run_matches_single_paths_beyond_first_chunk():
 
 
 def test_deterministic_path_without_claims(params):
-    # claim-free stub: motion along the line from (u1, u2) reaches (0, b)
-    # at t = u1 and crosses into ruin; payout is exact in closed form
-    quiet = ModelParams(c1=4.0, c2=3.0, lam=0.0, claims=ExponentialClaims(2.0), q=0.1)
+    # claim-free stub (the first wait, about 1e300, lies far beyond the
+    # horizon): motion along the line from (u1, u2) reaches (0, b) at
+    # t = u1 and crosses into ruin; payout is exact in closed form
+    quiet = ModelParams(c1=4.0, c2=3.0, lam=1e-300, claims=ExponentialClaims(2.0), q=0.1)
     bar = BarrierSpec(a=0.1, b=14.0, delta1=5.0, delta2=2.9)
     u1 = 3.0
     u = Reserves(u1, bar.line_height(u1))
@@ -110,7 +111,7 @@ def test_deterministic_path_without_claims(params):
 def test_deterministic_general_drift_path(params):
     # general diverted rates with the payout-set drift pointing up-left:
     # the path stays in the payout set and company 1 drains to ruin
-    quiet = ModelParams(c1=4.0, c2=3.0, lam=0.0, claims=ExponentialClaims(2.0), q=0.1)
+    quiet = ModelParams(c1=4.0, c2=3.0, lam=1e-300, claims=ExponentialClaims(2.0), q=0.1)
     bar = BarrierSpec(a=0.1, b=14.0, delta1=6.0, delta2=0.5)
     u1 = 3.0
     u = Reserves(u1, bar.line_height(u1) + 1.0)  # strictly inside the payout set
@@ -126,7 +127,7 @@ def test_deterministic_sliding_path(params):
     # attracting line: payout drift points below it, premium drift above;
     # the path slides with the occupation fraction theta until company 2
     # drains at the x-axis intercept
-    quiet = ModelParams(c1=4.0, c2=3.0, lam=0.0, claims=ExponentialClaims(2.0), q=0.1)
+    quiet = ModelParams(c1=4.0, c2=3.0, lam=1e-300, claims=ExponentialClaims(2.0), q=0.1)
     a, b = 0.5, 6.0
     bar = BarrierSpec(a=a, b=b, delta1=5.0, delta2=4.0)
     v1b, v2b = quiet.c1 - bar.delta1, quiet.c2 - bar.delta2
@@ -448,6 +449,19 @@ def test_barrier_start_outside_the_quadrant_is_rejected(params, barrier, u):
         simulate_refracted_path(u, barrier, params, _path_rng(1, 0))
 
 
+def test_single_paths_check_the_barrier_like_the_estimator(params):
+    # delta1 < c1: company 1 grows while paying, which the estimator
+    # rejected and single paths and traces ran
+    bar, u = BarrierSpec(a=0.1, b=14.0, delta1=3.0, delta2=1.0), Reserves(1.0, 2.0)
+    match = "c1 - delta1 < 0 violated"
+    with pytest.raises(ParameterError, match=match):
+        estimate_barrier_moments(u, bar, params, SimConfig(n_paths=10, master_seed=1))
+    with pytest.raises(ParameterError, match=match):
+        simulate_refracted_path(u, bar, params, _path_rng(1, 0))
+    with pytest.raises(ParameterError, match=match):
+        trace_refracted_path(u, bar, params, seed=1)
+
+
 @pytest.mark.parametrize("counter, key, expected", [
     ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
     ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
@@ -492,12 +506,6 @@ def test_stream_moments_match_the_distributions(params):
     assert abs(xs.mean() - params.claims.mean()) < 4.0 * params.claims.mean() / math.sqrt(n)
     # waits and claims of a column are independent
     assert abs(np.corrcoef(ts.ravel(), xs.ravel())[0, 1]) < 4.0 / math.sqrt(n)
-
-
-def test_no_claims_means_infinite_waits():
-    quiet = ModelParams(c1=4.0, c2=3.0, lam=0.0, claims=ExponentialClaims(2.0), q=0.1)
-    ts, _ = _columns(quiet, 0, [0, 1], 0, 8)
-    assert np.all(ts == math.inf)
 
 
 def _constant_claims(size):
@@ -591,6 +599,17 @@ def test_impulse_estimates_do_not_depend_on_the_core_count(params, monkeypatch, 
                                   sizes)
     assert simulate._pool is not None
     assert pooled == {sizes[0], *sizes[2:]}
+
+
+@pytest.mark.parametrize("size, n_paths, blocks", [
+    (simulate._BLOCK, 10_000, [5000, 5000]),  # not 8192 + 1808
+    (simulate._BLOCK, 16_384, [8192, 8192]),
+    (simulate._IMPULSE_BLOCK, 2 * simulate._MIN_PART, [1024, 1024]),
+    (simulate._IMPULSE_BLOCK, 2 * simulate._MIN_PART - 1, [2047]),
+])
+def test_blocks_on_two_cores_are_balanced(monkeypatch, size, n_paths, blocks):
+    _cores(monkeypatch, 2)
+    assert list(simulate._in_order(len, n_paths, size, True)) == blocks
 
 
 def test_one_core_starts_no_worker(params, barrier, monkeypatch):
