@@ -15,15 +15,7 @@ from .barrier import (
     v1_barrier,
     v1_values,
 )
-from .gammas import (
-    GammaSequences,
-    advance_gamma2,
-    build_sequences,
-    gamma2_initial,
-    sequences_for,
-    sequences_to_csv,
-    solve_g1_g3,
-)
+from .gammas import GammaSequences, build_sequences, sequences_for, sequences_to_csv
 from .impulse import (
     ImpulseMethod,
     ImpulseSpec,

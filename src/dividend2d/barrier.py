@@ -6,6 +6,9 @@ at one point, ``v1_values`` at arrays of points; ``pide_residual`` and
 integro-differential equation and the on-barrier flux condition by finite
 differences plus quadrature, giving an independent consistency check
 whose size should be dominated by the stencil error.
+
+The series (tag ``series``) values the model in which only company 1 can
+be ruined; the simulator also ends a path that a claim ruins company 2 alone.
 """
 
 from __future__ import annotations

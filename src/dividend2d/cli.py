@@ -269,7 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    vb = sub.add_parser("value-barrier", help="series value under barrier reflection")
+    vb = sub.add_parser(
+        "value-barrier",
+        help="series value under barrier reflection",
+        description="Series value under barrier reflection, for the model in which only company 1"
+        " can be ruined ('simulate barrier' also ends a path that a claim ruins company 2 alone).",
+    )
     vb.add_argument("--u1", type=float, required=True)
     vb.add_argument("--u2", type=float, required=True)
     vb.add_argument("--a", type=float, required=True)

@@ -13,9 +13,9 @@ The triples depend on the slope ``a`` and the model only, so each slope's
 families are built once by the scalar recursion and cached as arrays,
 grown only when a barrier needs more terms.  A barrier's height ``b`` and
 payout rate ``delta0`` enter through the two seeds of the coefficients
-alone: each barrier takes a cumulative product of the slope's step
-factors from its seeds, then cumulative corner sums to find its
-truncation point and the matching constant E.
+alone: each barrier takes one array pass, a cumulative product of the
+slope's step factors from its seeds, then cumulative corner sums to find
+its truncation point and the matching constant E.
 
 Raw ``D_k`` coefficients underflow for large k because they carry
 ``exp(-g2*b)``; all arithmetic therefore runs on the rescaled
@@ -43,7 +43,7 @@ from .model import (
 
 
 #: per-step fields of the ``steps`` and ``primed_steps`` records
-_FIELDS = ("g1", "g2", "g3", "D", "D_scaled", "disc_g1", "disc_g2")
+_FIELDS = ("g1", "g2", "g3", "D", "D_scaled")
 
 #: relative tolerance of the root, linkage and seed checks in ``invariant_violations``
 _INVARIANT_RTOL = 1e-9
@@ -53,19 +53,18 @@ _INVARIANT_RTOL = 1e-9
 class GammaSequences:
     """Both triple families, the matching constant E, and the slopes.
 
-    Each per-step field is a read-only ``(2, terms)`` array: row 0 holds
-    the family seeded at the barrier slope ``a``, row 1 the primed family
-    seeded at ``a_prime``.  ``D_scaled = D * exp(g2 * b)`` is the
-    representation used in series sums; the raw ``D`` is derived from it
-    on access and may underflow to 0 at large k (diagnostics only).
+    The stored fields ``g1, g2, g3, D_scaled`` are read-only ``(2, terms)``
+    arrays: row 0 holds the family seeded at the barrier slope ``a``, row 1
+    the primed family seeded at ``a_prime``.  ``D_scaled = D * exp(g2 * b)``
+    is the representation used in series sums; the raw ``D`` is derived
+    from it on access and may underflow to 0 at large k (diagnostics only).
+    ``steps`` and ``primed_steps`` view one row of each field as records.
     """
 
     g1: np.ndarray
     g2: np.ndarray
     g3: np.ndarray
     D_scaled: np.ndarray
-    disc_g1: np.ndarray
-    disc_g2: np.ndarray
     E: float
     a_prime: float
     a: float
@@ -105,14 +104,9 @@ class GammaSequences:
         """Identifier for valuations produced from these sequences."""
         return f"gamma[a={self.a!r},b={self.b!r},terms={self.g2.shape[1]}]"
 
-    def arrays(self, primed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(g1, g2, g3, D_scaled) of one family, as views of the stored rows."""
-        r = int(primed)
-        return self.g1[r], self.g2[r], self.g3[r], self.D_scaled[r]
 
-
-def _quadratic_roots(A: float, B: float, C: float) -> tuple[float, float, float]:
-    """Roots of A x^2 + B x + C as (larger, smaller, discriminant).
+def _larger_root(A: float, B: float, C: float) -> float:
+    """Larger root of A x^2 + B x + C.
 
     The root of larger magnitude comes from the non-cancelling branch,
     the other from the product of roots; coefficients grow with k so the
@@ -124,7 +118,7 @@ def _quadratic_roots(A: float, B: float, C: float) -> tuple[float, float, float]
     sq = math.sqrt(disc)
     r1 = (-B - sq) / (2.0 * A) if B >= 0.0 else (-B + sq) / (2.0 * A)
     r2 = C / (A * r1) if r1 != 0.0 else -B / A
-    return (max(r1, r2), min(r1, r2), disc)
+    return max(r1, r2)
 
 
 def _sqeq_coeffs(g2: float, params: ModelParams) -> tuple[float, float, float]:
@@ -162,28 +156,14 @@ def _seed_coeffs(m: float, params: ModelParams) -> tuple[float, float, float]:
     return A, B, -alpha * q
 
 
-def gamma2_initial(m: float, params: ModelParams) -> float:
-    """Unique positive root of the slope-m seed quadratic.
-
-    The constant term is negative, so the roots straddle zero and the
-    larger one is the positive one.
-    """
-    return _quadratic_roots(*_seed_coeffs(m, params))[0]
-
-
-def solve_g1_g3(g2: float, params: ModelParams) -> tuple[float, float]:
-    """Both roots of the pair quadratic at fixed ``g2``; g1 > g3."""
-    hi, lo, _ = _quadratic_roots(*_sqeq_coeffs(g2, params))
-    return (hi, lo)
-
-
 def _step(
     prev: tuple[float, float, float] | None, slope: float, params: ModelParams
-) -> tuple[float, float, float, float, float]:
-    """(g1, g2, g3, disc_g1, disc_g2) of one step of a family.
+) -> tuple[float, float, float]:
+    """(g1, g2, g3) of one step of a family.
 
     ``prev = None`` gives the seed of the family of slope ``slope``:
-    ``g1 = slope*g2`` with g2 the root from :func:`gamma2_initial`.
+    ``g1 = slope*g2`` with g2 the positive root of the seed quadratic
+    (its constant term is negative, so the roots straddle zero).
     Otherwise ``prev = (g1, g2, g3)`` and the step follows it under the
     linkage at ``slope``: with ``s = g3[k] - slope*g2[k]``, requiring
     ``s + slope*g2`` to solve the pair quadratic at ``g2`` gives a
@@ -193,7 +173,7 @@ def _step(
     of roots.
     """
     if prev is None:
-        g2, _, disc_g2 = _quadratic_roots(*_seed_coeffs(slope, params))
+        g2 = _larger_root(*_seed_coeffs(slope, params))
         g1 = slope * g2
     else:
         alpha = require_exponential(params.claims).rate
@@ -203,100 +183,82 @@ def _step(
         A = (a * a + a) * c1 + (1.0 + a) * c2
         B = s * (2.0 * c1 * a + c1 + c2) - (lam + q) * (1.0 + a) + alpha * (a * c1 + c2)
         C = c1 * s * s + (c1 * alpha - lam - q) * s - alpha * q
-        g2, _, disc_g2 = _quadratic_roots(A, B, C)
+        g2 = _larger_root(A, B, C)
         if not g2 > p2:
             raise NonConvergenceError(f"g2 recursion not increasing: {g2} after {p2}")
         g1 = s + a * g2
-    A, B, C = _sqeq_coeffs(g2, params)
-    return g1, g2, C / (A * g1), B * B - 4.0 * A * C, disc_g2
-
-
-def advance_gamma2(prev, slope: float, params: ModelParams) -> float:
-    """Next g2 after the step ``prev`` (anything with ``g1, g2, g3``),
-    under the linkage at ``slope``; see :func:`_step`."""
-    return _step((prev.g1, prev.g2, prev.g3), slope, params)[1]
+    A, _, C = _sqeq_coeffs(g2, params)
+    return g1, g2, C / (A * g1)
 
 
 class _Slope:
     """Both families at one slope ``a``, grown step by step on demand.
 
-    ``data`` is a read-only ``(8, 2, n)`` array: per field, family and
-    step it holds ``g1, g2, g3, disc_g1, disc_g2``, the ``D_scaled`` step
-    factor ``rho[k-1] * flux(g3[k-1], g2[k-1]) / flux(g1[k], g2[k])``
-    (1 at k = 0, where a barrier puts its seed), ``g1 - g3`` and
-    ``g1 + g2 + alpha``.  Here ``rho = (g3 + g2 + alpha) / (g1 + g2 +
-    alpha)`` and ``flux(g, g2) = g*(c1 + 1) + g2*(c2 - a)`` is the
-    coefficient of a series term in the on-barrier flux condition.
+    ``data`` is a read-only ``(6, 2, n)`` array: per field, family and
+    step it holds ``g1, g2, g3``, the ``D_scaled`` step factor ``rho[k-1]
+    * flux(g3[k-1], g2[k-1]) / flux(g1[k], g2[k])`` (1 at k = 0, where a
+    barrier puts its seed), ``g1 - g3`` and ``g1 + g2 + alpha``.  Here
+    ``rho = (g3 + g2 + alpha) / (g1 + g2 + alpha)`` and ``flux(g, g2) =
+    g*(c1 + 1) + g2*(c2 - a)`` is the coefficient of a series term in the
+    on-barrier flux condition.
 
-    Growth runs the corner sums of the barrier that first asked for the
-    slope, so the arrays end where that barrier's sums converge.  Its
-    terms are its seeds times products of these fields, so the seeds
-    cancel out of the tail ratio: the same length suits every barrier of
-    the slope, up to rounding.
+    Nothing here depends on a barrier.  Growth tracks the corner sums of
+    both families seeded at 1 and stops where their tail ratio is small.
+    A barrier's terms are its seeds times the same products of step
+    factors, so its seeds cancel out of that ratio: every barrier of the
+    slope converges where these sums do, up to rounding.
     """
 
     def __init__(self, a: float, params: ModelParams):
         self.a, self.params = a, params
         self.a_prime = (a - params.c2) / (params.c1 + 1.0)
-        self.data = np.empty((8, 2, 0))
-        self.flux0 = self.g2_primed0 = math.nan  # seed inputs, set with step 0
+        self.data = np.empty((6, 2, 0))
         self.error: str | None = None  # message of the step that failed, if one did
-        self.sums = (0.0, 0.0)  # corner sums of the first barrier at the last step held
-        self.tail = math.inf  # their tail ratio there, from k = 1
-        self._last: tuple = ()  # (g1, g2, g3) of both families at the last step held
-        self._carry: list = []  # per family: rho * flux(g3, g2) and D_scaled there
+        self.tail = math.inf  # tail ratio of the seed-1 corner sums at the last step, from k = 1
+        self._last: tuple = (None, None)  # (g1, g2, g3) of both families at the last step held
+        # per family: rho * flux(g3, g2), D_scaled and the corner sum at the last step, seed 1
+        self._carry = [(0.0, 1.0, 0.0)] * 2
 
     @property
     def n(self) -> int:
         return self.data.shape[2]
 
-    def grow(self, need: int, tail_tol: float, max_terms: int, barrier: BarrierSpec) -> None:
+    def grow(self, need: int, tail_tol: float, max_terms: int) -> None:
         """Step until ``need`` steps are held and the tail ratio is below
-        ``tail_tol``, until ``max_terms`` are held, or until a step fails.
-
-        ``barrier`` seeds the corner sums when the slope has no steps yet.
-        """
+        ``tail_tol``, until ``max_terms`` are held, or until a step fails."""
         a, params = self.a, self.params
         alpha = require_exponential(params.claims).rate
         c1p, c2a = params.c1 + 1.0, params.c2 - a
-        last, carry, (sum0, sum1), tail = self._last, self._carry, self.sums, self.tail
+        last, carry, tail, slopes = self._last, self._carry, self.tail, (a, self.a_prime)
         flat: list[float] = []
         n = self.n
         while n < max_terms and not (n >= need and tail < tail_tol):
-            try:
-                if n:
-                    steps = (_step(last[0], a, params), _step(last[1], a, params))
-                else:
-                    steps = (_step(None, a, params), _step(None, self.a_prime, params))
+            try:  # the primed family is seeded at a_prime, then steps at a like the base
+                steps = tuple(_step(p, a if n else m, params) for p, m in zip(last, slopes))
             except NonConvergenceError as exc:
                 self.error = str(exc)
                 break
-            if not n:
-                self.flux0 = steps[0][0] * c1p + steps[0][1] * c2a
-                self.g2_primed0 = steps[1][1]
-                seeds = (barrier.delta0 / self.flux0, _primed_seed(self.g2_primed0, float(barrier.b)))
-                carry = [(0.0, seed) for seed in seeds]
-            terms, next_carry = [], []
-            for (g1, g2, g3, disc_g1, disc_g2), (rho_flux, scaled) in zip(steps, carry):
+            ratios, next_carry = [], []
+            for (g1, g2, g3), (rho_flux, scaled, total) in zip(steps, carry):
                 g1_g3, g1_g2_alpha = g1 - g3, g1 + g2 + alpha
                 factor = rho_flux / (g1 * c1p + g2 * c2a) if n else 1.0
                 scaled *= factor
-                terms.append(scaled * g1_g3 / g1_g2_alpha)
-                next_carry.append(((g3 + g2 + alpha) / g1_g2_alpha * (g3 * c1p + g2 * c2a), scaled))
-                flat += (g1, g2, g3, disc_g1, disc_g2, factor, g1_g3, g1_g2_alpha)
-            sum0, sum1 = sum0 + terms[0], sum1 + terms[1]
-            if n:
-                tail = max(
-                    abs(terms[0]) / max(abs(sum0), 1e-300), abs(terms[1]) / max(abs(sum1), 1e-300)
+                term = scaled * g1_g3 / g1_g2_alpha
+                total += term
+                ratios.append(abs(term) / max(abs(total), 1e-300))
+                next_carry.append(
+                    ((g3 + g2 + alpha) / g1_g2_alpha * (g3 * c1p + g2 * c2a), scaled, total)
                 )
-            last, carry = (steps[0][:3], steps[1][:3]), next_carry
+                flat += (g1, g2, g3, factor, g1_g3, g1_g2_alpha)
+            if n:
+                tail = max(ratios)
+            last, carry = steps, next_carry
             n += 1
         if flat:
-            new = np.fromiter(flat, float, len(flat)).reshape(-1, 2, 8).transpose(2, 1, 0)
+            new = np.fromiter(flat, float, len(flat)).reshape(-1, 2, 6).transpose(2, 1, 0)
             data = np.concatenate((self.data, new), axis=2)
             data.flags.writeable = False
-            self.data, self._last, self._carry = data, last, carry
-            self.sums, self.tail = (sum0, sum1), tail
+            self.data, self._last, self._carry, self.tail = data, last, carry, tail
 
 
 def _primed_seed(g2_primed0: float, b: float) -> float:
@@ -348,29 +310,24 @@ def build_sequences(
         raise ParameterError([f"need 2 <= min_terms <= max_terms, got {min_terms}, {max_terms}"])
 
     slope = _slope(a, params)
-    fresh = slope.n == 0  # then the slope grows on this barrier's own corner sums
     need = min_terms
     while True:
         if slope.n < need:
-            slope.grow(need, tail_tol, max_terms, barrier)
+            slope.grow(need, tail_tol, max_terms)
         data = slope.data
         n = min(data.shape[2], max_terms)
-        factors = data[5, :, :n].copy()
-        factors[0, 0] = barrier.delta0 / slope.flux0
-        factors[1, 0] = _primed_seed(slope.g2_primed0, b)
+        factors = data[3, :, :n].copy()
+        g1_0, g2_0 = float(data[0, 0, 0]), float(data[1, 0, 0])
+        factors[0, 0] = barrier.delta0 / (g1_0 * (params.c1 + 1.0) + g2_0 * (params.c2 - a))
+        factors[1, 0] = _primed_seed(float(data[1, 1, 0]), b)
         scaled = factors.cumprod(axis=1)
-        if fresh and n >= min_terms and slope.tail < tail_tol:
-            # the slope grew on this barrier's corner sums, which stopped at its cut
-            k, (sum0, sum1), tail_k = n - 1, slope.sums, slope.tail
-            break
-        terms = scaled * data[6, :, :n] / data[7, :, :n]
+        terms = scaled * data[4, :, :n] / data[5, :, :n]
         sums = terms.cumsum(axis=1)
         ratio = np.abs(terms) / np.maximum(np.abs(sums), 1e-300)
         tail = np.where(ratio[1] > ratio[0], ratio[1], ratio[0])  # max(), first on ties
         hits = (tail[min_terms - 1 :] < tail_tol).nonzero()[0]
         if hits.size:
             k = min_terms - 1 + int(hits[0])
-            (sum0, sum1), tail_k = sums[:, k], tail[k]
             break
         if n >= max_terms:
             raise NonConvergenceError(
@@ -378,24 +335,21 @@ def build_sequences(
             )
         if slope.error is not None:
             raise NonConvergenceError(slope.error)
-        need, fresh = n + 1, False
-    fields = data[:5, :, : k + 1].copy()  # (field, family, k), apart from the slope's arrays
-    fields.flags.writeable = False
+        need = n + 1
+    g1, g2, g3 = data[:3, :, : k + 1].copy()  # apart from the slope's arrays
     d_scaled = scaled[:, : k + 1].copy()
-    d_scaled.flags.writeable = False
-    g1, g2, g3, disc_g1, disc_g2 = fields
+    for field in (g1, g2, g3, d_scaled):
+        field.flags.writeable = False
     return GammaSequences(
         g1=g1,
         g2=g2,
         g3=g3,
         D_scaled=d_scaled,
-        disc_g1=disc_g1,
-        disc_g2=disc_g2,
-        E=float(-sum0 / sum1),
+        E=float(-sums[0, k] / sums[1, k]),
         a_prime=slope.a_prime,
         a=a,
         b=b,
-        tail_ratio=float(tail_k),
+        tail_ratio=float(tail[k]),
     )
 
 
@@ -439,8 +393,6 @@ def invariant_violations(seqs: GammaSequences, params: ModelParams) -> list[str]
                 out.append(f"{name}[{k}]: g3 >= 0 ({s.g3})")
             if not s.g1 > s.g3:
                 out.append(f"{name}[{k}]: g1 <= g3")
-            if not (s.disc_g2 > 0.0 and s.disc_g1 > 0.0):
-                out.append(f"{name}[{k}]: non-positive discriminant")
             for g in (s.g1, s.g3):
                 r = sqeq_residual(g, s.g2, params)
                 if r > _INVARIANT_RTOL:

@@ -259,6 +259,7 @@ def _unit(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     u = hi.astype(float)
     u += 0.5
     u *= 2.0**-53
+    np.minimum(u, np.nextafter(1.0, 0.0), out=u)  # all ones rounds up to 1: -log1p(-1) = inf
     return u
 
 

@@ -11,12 +11,9 @@ from dividend2d import (
     ExponentialClaims,
     ModelParams,
     NonConvergenceError,
-    advance_gamma2,
     build_sequences,
-    gamma2_initial,
     sequences_for,
     sequences_to_csv,
-    solve_g1_g3,
 )
 from dividend2d import gammas
 from dividend2d.gammas import (
@@ -38,20 +35,19 @@ def _seed_quadratic(m, params):
     return lambda g: A * g * g + B * g - alpha * params.q
 
 
-def test_gamma2_initial_matches_bisection_oracle(params):
-    root = gamma2_initial(0.1, params)
-    assert root == pytest.approx(G2_INITIAL_BASE, rel=1e-12)
-    assert bisect(_seed_quadratic(0.1, params), 1e-12, 10.0) == pytest.approx(root, rel=1e-10)
+def test_gamma2_initial_matches_bisection_oracle(params, barrier):
+    g2 = sequences_for(barrier, params).g2
+    assert g2[0, 0] == pytest.approx(G2_INITIAL_BASE, rel=1e-12)
+    assert bisect(_seed_quadratic(0.1, params), 1e-12, 10.0) == pytest.approx(g2[0, 0], rel=1e-10)
 
     a_prime = (0.1 - params.c2) / (params.c1 + 1.0)
-    root_p = gamma2_initial(a_prime, params)
-    assert root_p == pytest.approx(G2_INITIAL_PRIMED, rel=1e-12)
-    assert bisect(_seed_quadratic(a_prime, params), 1e-12, 10.0) == pytest.approx(root_p, rel=1e-10)
+    assert g2[1, 0] == pytest.approx(G2_INITIAL_PRIMED, rel=1e-12)
+    assert bisect(_seed_quadratic(a_prime, params), 1e-12, 10.0) == pytest.approx(g2[1, 0], rel=1e-10)
 
 
-def test_gamma2_initial_positive_and_exact_root(params):
-    for m in (0.1, (0.1 - params.c2) / (params.c1 + 1.0)):
-        root = gamma2_initial(m, params)
+def test_gamma2_initial_positive_and_exact_root(params, barrier):
+    seqs = sequences_for(barrier, params)
+    for m, root in ((0.1, seqs.g2[0, 0]), (seqs.a_prime, seqs.g2[1, 0])):
         assert root > 0.0
         f = _seed_quadratic(m, params)
         scale = abs(f(0.0)) + abs(root)
@@ -63,12 +59,12 @@ def test_gamma2_initial_rejects_bad_leading_coefficient(params):
     from dividend2d import ParameterError
 
     with pytest.raises(ParameterError, match="leading coefficient"):
-        gamma2_initial(-0.9, params)
+        gammas._step(None, -0.9, params)
 
 
-def test_solve_g1_g3_reproduces_seed_identity(params):
-    g2 = gamma2_initial(0.1, params)
-    g1, g3 = solve_g1_g3(g2, params)
+def test_solve_g1_g3_reproduces_seed_identity(params, barrier):
+    seqs = sequences_for(barrier, params)
+    g1, g2, g3 = seqs.g1[0, 0], seqs.g2[0, 0], seqs.g3[0, 0]
     assert g1 == pytest.approx(0.1 * g2, rel=1e-9)
     assert g3 < 0.0 < g1
     assert sqeq_residual(g1, g2, params) < 1e-9
@@ -78,7 +74,7 @@ def test_solve_g1_g3_reproduces_seed_identity(params):
 def test_advance_matches_bisection_oracle(params, barrier):
     seqs = sequences_for(barrier, params)
     step0 = seqs.steps[0]
-    nxt = advance_gamma2(step0, barrier.a, params)
+    nxt = seqs.g2[0, 1]
     assert nxt == pytest.approx(G2_AFTER_ONE_ADVANCE, rel=1e-12)
 
     # oracle: bisection on the linkage-substituted quadratic above g2_0
@@ -98,7 +94,6 @@ def test_advance_monotone_over_twenty_steps(params, barrier):
     seqs = sequences_for(barrier, params, min_terms=21)
     g2s = [s.g2 for s in seqs.steps[:21]]
     assert all(b > a for a, b in zip(g2s, g2s[1:]))
-    assert all(s.disc_g2 > 0.0 for s in seqs.steps[:21])
 
 
 def test_build_sequences_invariants_all_slopes(params):
@@ -114,7 +109,7 @@ def test_corner_sum_terms_shrink(params, barrier):
     # d'Alembert-style decay of the terms defining the matching constant
     seqs = sequences_for(barrier, params, min_terms=40)
     alpha = params.claims.rate
-    g1, g2, g3, ds = seqs.arrays(primed=False)
+    g1, g2, g3, ds = seqs.g1[0], seqs.g2[0], seqs.g3[0], seqs.D_scaled[0]
     terms = np.abs(ds * (g1 - g3) / (g1 + g2 + alpha))
     ratios = terms[1:] / terms[:-1]
     assert ratios[30] < ratios[5]
@@ -149,6 +144,18 @@ def test_cache_returns_same_object(params, barrier):
     assert sequences_for(barrier, params) is sequences_for(barrier, params)
 
 
+@st.composite
+def valid_setups(draw):
+    c2 = draw(st.floats(0.8, 6.0))
+    c1 = c2 * draw(st.floats(1.1, 3.0))
+    alpha = draw(st.floats(0.4, 4.0))
+    lam = c2 * alpha * draw(st.floats(0.1, 0.85))
+    q = draw(st.floats(0.02, 0.8))
+    a = c2 * draw(st.floats(0.05, 0.85))
+    params = ModelParams(c1=c1, c2=c2, lam=lam, claims=ExponentialClaims(alpha), q=q)
+    return params, BarrierSpec.reflection(a, 8.0, params)
+
+
 # ---------------------------------------------------------------------------
 # per-slope families: a barrier's sequences do not depend on what the
 # slope's cache held before it
@@ -162,7 +169,7 @@ def _cold(bar, params, **kw):
 
 
 def _assert_identical(x, y):
-    for f in ("g1", "g2", "g3", "D", "D_scaled", "disc_g1", "disc_g2"):
+    for f in ("g1", "g2", "g3", "D", "D_scaled"):
         fx, fy = getattr(x, f), getattr(y, f)
         assert fx.shape == fy.shape and fx.tobytes() == fy.tobytes(), f
         assert fx.flags.c_contiguous and not fx.flags.writeable, f
@@ -171,9 +178,10 @@ def _assert_identical(x, y):
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.floats(0.05, 1.5), st.floats(1.0, 40.0), st.floats(1.0, 40.0))
-def test_build_after_another_barrier_of_the_slope_equals_a_cold_build(params, a, b1, b2):
-    bar1, bar2 = BarrierSpec.reflection(a, b1, params), BarrierSpec.reflection(a, b2, params)
+@given(valid_setups(), st.floats(1.0, 40.0), st.floats(1.0, 40.0))
+def test_build_after_another_barrier_of_the_slope_equals_a_cold_build(setup, b1, b2):
+    params, bar = setup
+    bar1, bar2 = BarrierSpec.reflection(bar.a, b1, params), BarrierSpec.reflection(bar.a, b2, params)
     _cold(bar1, params)
     warm = build_sequences(bar2, params)
     _assert_identical(warm, _cold(bar2, params))
@@ -215,18 +223,6 @@ def test_csv_dump_is_pinned(params, a, b, name):
     gammas._slope.cache_clear()
     build_sequences(BarrierSpec.reflection(a, 2.0 * b, params), params, min_terms=40)
     assert sequences_to_csv(build_sequences(bar, params)) == expected
-
-
-@st.composite
-def valid_setups(draw):
-    c2 = draw(st.floats(0.8, 6.0))
-    c1 = c2 * draw(st.floats(1.1, 3.0))
-    alpha = draw(st.floats(0.4, 4.0))
-    lam = c2 * alpha * draw(st.floats(0.1, 0.85))
-    q = draw(st.floats(0.02, 0.8))
-    a = c2 * draw(st.floats(0.05, 0.85))
-    params = ModelParams(c1=c1, c2=c2, lam=lam, claims=ExponentialClaims(alpha), q=q)
-    return params, BarrierSpec.reflection(a, 8.0, params)
 
 
 @settings(deadline=None, max_examples=40)

@@ -40,6 +40,7 @@ from dividend2d.simulate import (
     _impulse_paths,
     _path_rng,
     _philox,
+    _unit,
     default_max_time,
 )
 
@@ -472,6 +473,14 @@ def test_philox_known_answers(counter, key, expected):
     # the Random123 known-answer vectors of Philox4x32-10
     words = _philox(tuple(np.array([c], dtype=np.uint64) for c in counter), key)
     assert tuple(int(w[0]) for w in words) == expected
+
+
+def test_all_ones_words_give_a_uniform_below_one_and_a_finite_wait(params):
+    words = [np.array([0xFFFFFFFF], dtype=np.uint64) for _ in range(2)]
+    u = _unit(*words)
+    assert u[0] < 1.0
+    assert np.isfinite(-np.log1p(-u[0]) / params.lam)
+    assert np.isfinite(params.claims.ppf(u)[0])
 
 
 def _columns(params, seed, paths, start, stop):
