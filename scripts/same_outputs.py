@@ -44,10 +44,13 @@ COMMANDS = [
                               "--b", "1.8"]),
     ("value-barrier-far", ["value-barrier", "--u1", "1", "--u2", "2", "--a", "0.1", "--b", "800"]),
     ("value-impulse", ["value-impulse", "--u1", "3", "--u2", "2", "--cost", "0.5"]),
+    ("value-impulse-below", ["value-impulse", "--u1", "1", "--u2", "2", "--cost", "0.5"]),
     ("simulate-barrier", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "1", "--u2", "2",
                           "--a", "0.1", "--b", "14", "--trace", "path.csv"]),
     ("simulate-impulse", ["simulate", "impulse", *_SIM, "--seed", "9", "--u1", "3", "--u2", "2",
                           "--cost", "0.5"]),
+    ("simulate-impulse-below", ["simulate", "impulse", *_SIM, "--seed", "9", "--u1", "1",
+                                "--u2", "2", "--cost", "0.5"]),
 ]
 
 

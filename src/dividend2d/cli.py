@@ -180,7 +180,8 @@ def cmd_optimize(args) -> int:
     )
     _write(sweep_to_csv(result), args.out)
     if result.argmax is None:
-        print("no valid cell in the grid")
+        why = "".join(f"; first cell a={c.a!r} b={c.b!r}: {c.error}" for c in result.grid[:1])
+        print(f"no valid cell in the grid{why}")
         return EXIT_BAD_INPUT
     a, b = result.argmax
     print(f"argmax a={a!r} b={b!r} v1={result.argmax_value:.10g} [series]")

@@ -24,12 +24,13 @@ traces share every operation.  Both kernels drop finished paths from
 their arrays in batches, padded to a multiple of ``_LANES`` rows.
 
 Impulse paths also run in blocks, drawn the same way.  In lockstep each
-path consumes one waiting time per step, to start a cycle or for one step
-of its recovery race, and reads its claim at its own cursor, which lags
-one further behind per completed cycle.  When fewer than ``_HANDOFF``
-paths still run, they resume in a scalar loop on Python floats with their
-state and unread draws; smaller blocks, single paths included, run there
-from the start.  Both loops take every exponential from ``np.exp`` (the
+path consumes one column per step, to start a cycle or for one step of
+its recovery race: the column's wait, and its claim unless company 2
+recovers first, in which case the claim goes unread and, the waits being
+memoryless, the next cycle starts on the next column.  When fewer than
+``_HANDOFF`` paths still run, they resume in a scalar loop on Python
+floats with their state and unread columns; smaller blocks, single paths
+included, run there from the start.  Both loops take every exponential from ``np.exp`` (the
 scalar loop on Python floats) and otherwise apply ``+ - * /`` and
 comparisons in the same order, so a path's bits do not depend on which
 loop ran which of its cycles.
@@ -369,23 +370,21 @@ class _BarrierBlock(_Block):
 
 
 def _barrier_kernel(
-    u: Reserves,
     barrier: BarrierSpec,
     params: ModelParams,
     max_time: float,
     ts: np.ndarray,
     xs: np.ndarray,
-    block: _BarrierBlock | None = None,
+    block: _BarrierBlock,
     trace: list | None = None,
 ) -> _BarrierBlock:
-    """Event loop for a block of refracted paths, all started at ``u``.
+    """Event loop for a block of refracted paths over one chunk of columns.
 
-    Without ``block``, a new block of ``len(ts)`` paths starts at ``u``
-    and row ``j`` of ``ts``/``xs`` holds path ``j``'s first waiting times
-    and claim sizes.  With ``block``, row ``j`` holds the next columns of
-    its ``j``-th running path, which resumes where it stopped.  Returns
-    the block: paths that ruin or are censored get their D, sigma, status
-    and ruin cause; the others stay running (``_NEED_MORE``).
+    Row ``j`` of ``ts``/``xs`` holds the next waiting times and claim
+    sizes of the block's ``j``-th running path, which resumes where it
+    stopped.  Returns the block: paths that ruin or are censored get their
+    D, sigma, status and ruin cause; the others stay running
+    (``_NEED_MORE``).
 
     Paths move in lockstep, one inter-claim interval at a time.  Within an
     interval each path takes flow segments, each advanced to the earliest
@@ -402,7 +401,7 @@ def _barrier_kernel(
     the line.  Reflection is the boundary case of this with fraction 1.
 
     ``trace`` (a list, blocks of one path only) receives the event rows
-    (t, y1, y2, code) of that path.
+    (t, y1, y2, code) of that path after its start row.
     """
     n_cols = ts.shape[1]
     a, b, q, tol = barrier.a, barrier.b, params.q, ON_LINE_TOL
@@ -423,11 +422,6 @@ def _barrier_kernel(
         if trace is not None and np.any(mask):
             trace.append((float(t[0]), float(y1[0]), float(y2[0]), code))
 
-    if block is None:
-        if trace is not None and ts.shape[0] != 1:
-            raise ValueError("tracing needs a block of one path")
-        block = _BarrierBlock(u, ts.shape[0])
-        note(True, 0, block.t, block.y1, block.y2)
     # state of the running paths and their rows in ts/xs; a row that is not
     # alive has finished or pads the arrays until the next compaction
     live, y1, y2, t, D = block.live, block.y1, block.y2, block.t, block.paid
@@ -532,13 +526,18 @@ def _barrier_paths(
 ) -> _Results:
     """Per-path (D, sigma, censored, cause) arrays of barrier paths, run
     from ``u`` as one block until each ruins or is censored, drawing every
-    further chunk of columns for the running paths only."""
-    block, width = None, _FIRST_COLUMNS
-    while block is None or block.live.size:
-        rows = paths if block is None else paths[block.live]
+    further chunk of columns for the running paths only.  ``trace`` (a
+    list, blocks of one path only) receives that path's event rows."""
+    block, width = _BarrierBlock(u, paths.size), _FIRST_COLUMNS
+    if trace is not None:
+        if paths.size != 1:
+            raise ValueError("tracing needs a block of one path")
+        trace.append((0.0, float(u.u1), float(u.u2), 0))
+    while block.live.size:
+        rows = paths[block.live]
         ts, xs = np.empty((rows.size, width)), np.empty((rows.size, width))
-        _fill_streams(master_seed, rows, params, ts, xs, 0 if block is None else block.columns)
-        block = _barrier_kernel(u, barrier, params, max_time, ts, xs, block, trace)
+        _fill_streams(master_seed, rows, params, ts, xs, block.columns)
+        block = _barrier_kernel(barrier, params, max_time, ts, xs, block, trace)
         width = min(2 * width, _MAX_COLUMNS)
     return block.results()
 
@@ -548,34 +547,34 @@ def _impulse_loop(u1, u2, K, c1, c2, q, max_cycles, ts, xs, D=0.0, t=0.0, cycle=
     ``t`` and payout ``D`` so far, and inside that cycle's recovery race
     when ``race`` holds its ``(z, s)``.
 
-    ``ts`` supplies every exponential waiting time (cycle waits and the
-    inter-claim gaps of the recovery race alike, in consumption order);
-    ``xs`` supplies claim sizes, at least as many.  Returns (D, sigma,
-    status, cycles, cause, race).  When the waiting times run out the
-    status is ``_NEED_MORE``: the path has read every one of them and one
-    claim fewer per cycle completed, and it resumes from the returned D,
-    sigma (as ``t``), cycles and race on further draws, its unread claims
-    first.  The loop runs on Python floats, with ``ts`` and ``xs`` lists
-    or memoryviews: indexing either is cheaper than indexing an array.
-    Discount factors come from ``np.exp``, as in the lockstep loop of
-    ``_impulse_kernel``, and every other operation is the same as there,
-    so the two loops give the same bits.
+    Column ``j`` of ``ts``/``xs`` holds the ``j``-th waiting time the path
+    consumes (a cycle's opening wait or one inter-claim gap of its
+    recovery race) and the claim that ends it.  A race wait in which
+    company 2 reaches ``u2`` leaves its claim unread, and the next cycle,
+    its wait being memoryless, starts on the next column.  Returns (D,
+    sigma, status, cycles, cause, race).  When the columns run out the
+    status is ``_NEED_MORE``: the path has read every one of them, and it
+    resumes from the returned D, sigma (as ``t``), cycles and race on the
+    next columns.  The loop runs on Python floats, with ``ts`` and ``xs``
+    lists or memoryviews: indexing either is cheaper than indexing an
+    array.  Discount factors come from ``np.exp``, as in the lockstep loop
+    of ``_impulse_kernel``, and every other operation is the same as
+    there, so the two loops give the same bits.
     """
     mn = u1 if u1 < u2 else u2
     gap = u2 - u1
-    it, ix, nt = 0, 0, len(ts)
+    it, nt = 0, len(ts)
     e = np.exp(-q * t)  # the discount factor at t
     for cycle in range(cycle, max_cycles):
         if race is None:
             if it >= nt:
                 return D, t, _NEED_MORE, cycle, 0, None
             t += ts[it]
+            x = xs[it]
             it += 1
             e_new = np.exp(-q * t)
             D += c1 * (e - e_new) / q
             e = e_new
-            x = xs[ix]
-            ix += 1
             if x > mn:
                 cause = _RUIN_C1 if x > u1 else _RUIN_C2
                 return D, t, _DONE, cycle + 1, cause, None
@@ -599,8 +598,7 @@ def _impulse_loop(u1, u2, K, c1, c2, q, max_cycles, ts, xs, D=0.0, t=0.0, cycle=
                 break
             s += w2
             z += c2 * w2
-            z -= xs[ix]
-            ix += 1
+            z -= xs[it - 1]
             edge = gap - (c1 - c2) * s
             if z < (edge if edge > 0.0 else 0.0):
                 cause = _RUIN_C1 if z < edge else _RUIN_C2
@@ -609,14 +607,8 @@ def _impulse_loop(u1, u2, K, c1, c2, q, max_cycles, ts, xs, D=0.0, t=0.0, cycle=
 
 
 class _ImpulseBlock(_Block):
-    """A block of impulse paths, with the cycle state and unread claims of
-    the paths still running.
-
-    Every running path has consumed ``columns`` waiting times and one claim
-    fewer per completed cycle, so row ``j`` of ``claims`` ends with the
-    ``cycle[j]`` claims its path has drawn but not read (left of those,
-    the row holds claims it has read).
-    """
+    """A block of impulse paths, with the cycle state of the paths still
+    running, each of which has consumed ``columns`` columns."""
 
     def __init__(self, n: int):
         super().__init__(n)
@@ -624,7 +616,6 @@ class _ImpulseBlock(_Block):
         self.z = np.zeros(n)  # company 2's reserve in the recovery race
         self.s = np.zeros(n)  # time since the race began
         self.racing = np.zeros(n, dtype=bool)
-        self.claims = np.empty((n, 0))
 
 
 def _impulse_kernel(
@@ -637,17 +628,16 @@ def _impulse_kernel(
 ) -> _ImpulseBlock:
     """Event loop for a block of impulse paths over one chunk of columns.
 
-    Row ``j`` of ``ts`` holds the next waiting times of the block's
-    ``j``-th running path; row ``j`` of ``xs`` holds ``block.claims[j]``
-    followed by the claim sizes of the same columns.  Returns the block:
-    paths that ruin or complete ``max_cycles`` cycles get their D, sigma,
-    status and ruin cause; the others stay running.
+    Row ``j`` of ``ts``/``xs`` holds the next waiting times and claim sizes
+    of the block's ``j``-th running path.  Returns the block: paths that
+    ruin or complete ``max_cycles`` cycles get their D, sigma, status and
+    ruin cause; the others stay running.
 
-    In lockstep each path consumes one waiting time per step, to start a
-    cycle or for one step of its recovery race, and reads its claim at its
-    own claim cursor; finished paths are compacted away in batches.  Once
-    fewer than ``_HANDOFF`` paths run, each resumes in the scalar loop
-    ``_impulse_loop`` with its state and unread draws; a block smaller
+    In lockstep each path consumes one column per step, to start a cycle
+    or for one step of its recovery race, as ``_impulse_loop`` does;
+    finished paths are compacted away in batches.  Once fewer than
+    ``_HANDOFF`` paths run, each resumes in the scalar loop
+    ``_impulse_loop`` with its state and unread columns; a block smaller
     than that runs there from the start.  Both loops take every
     exponential from ``np.exp`` and otherwise apply ``+ - * /`` and
     comparisons in the same order, so a path's result does not depend on
@@ -655,7 +645,6 @@ def _impulse_kernel(
     """
     u1, u2, K = spec.u1, spec.u2, spec.K
     c1, c2, q = params.c1, params.c2, params.q
-    lag = xs.shape[1] - ts.shape[1]  # xs[:, lag + k] was drawn with ts[:, k]
     live, D, t, cycle = block.live, block.paid, block.t, block.cycle
     z, s, racing = block.z, block.s, block.racing
     rows = np.arange(live.size)
@@ -678,7 +667,7 @@ def _impulse_kernel(
             if end:
                 break
             w = ts[:, k][rows]
-            x = xs[rows, lag + k - cycle]
+            x = xs[:, k][rows]
             t_reach = (u2 - z) / c2
             reach = racing & (t_reach < w)
             tau = s + t_reach
@@ -707,11 +696,11 @@ def _impulse_kernel(
     if live.size < _HANDOFF:
         # the stragglers, from column k on, in the scalar loop
         args = (u1, u2, K, c1, c2, q, max_cycles)
-        state = zip(rows.tolist(), (lag + k - cycle).tolist(), D.tolist(), t.tolist(),
-                    cycle.tolist(), z.tolist(), s.tolist(), racing.tolist())
-        for j, (r, x0, D_j, t_j, cycle_j, z_j, s_j, racing_j) in enumerate(state):
+        state = zip(rows.tolist(), D.tolist(), t.tolist(), cycle.tolist(), z.tolist(),
+                    s.tolist(), racing.tolist())
+        for j, (r, D_j, t_j, cycle_j, z_j, s_j, racing_j) in enumerate(state):
             D_j, t_j, status, cycle_j, cause, race = _impulse_loop(
-                *args, memoryview(ts[r, k:]), memoryview(xs[r, x0:]),
+                *args, memoryview(ts[r, k:]), memoryview(xs[r, k:]),
                 D_j, t_j, cycle_j, (z_j, s_j) if racing_j else None,
             )
             if status == _NEED_MORE:
@@ -722,11 +711,10 @@ def _impulse_kernel(
                 p = live[j]
                 block.D[p], block.sigma[p], block.status[p], block.cause[p] = D_j, t_j, status, cause
         keep = np.flatnonzero(block.status[live] == _NEED_MORE)
-        live, rows, D, t, cycle, z, s, racing = (a[keep] for a in (live, rows, D, t, cycle, z, s, racing))
+        live, D, t, cycle, z, s, racing = (a[keep] for a in (live, D, t, cycle, z, s, racing))
     block.live, block.paid, block.t, block.cycle, block.z, block.s, block.racing = (
         live, D, t, cycle, z, s, racing
     )
-    block.claims = xs[rows, xs.shape[1] - cycle.max(initial=0) :]
     block.columns += ts.shape[1]
     return block
 
@@ -737,7 +725,9 @@ def _impulse_paths(
     """Per-path (D, sigma, censored, cause) arrays of impulse paths, run as
     one block until each ruins or completes ``max_cycles`` cycles.
 
-    A block starts on ``_FIRST_COLUMNS`` columns, and its running paths
+    Each path consumes one column of its stream per wait, a wait and its
+    claim, as a barrier path does.  A block starts on ``_FIRST_COLUMNS``
+    columns, and its running paths
     resume on chunks drawn for them alone, twice as wide each time up to
     ``_LOCKSTEP_COLUMNS`` while they run in lockstep and ``_MAX_COLUMNS``
     once they run in the scalar loop.  A block that runs in the scalar loop
@@ -748,10 +738,8 @@ def _impulse_paths(
     block = _ImpulseBlock(paths.size)
     width = _FIRST_COLUMNS if paths.size >= _HANDOFF else _MAX_COLUMNS
     while block.live.size:
-        lag = block.claims.shape[1]
-        ts, xs = np.empty((block.live.size, width)), np.empty((block.live.size, lag + width))
-        xs[:, :lag] = block.claims
-        _fill_streams(master_seed, paths[block.live], params, ts, xs[:, lag:], block.columns)
+        ts, xs = np.empty((block.live.size, width)), np.empty((block.live.size, width))
+        _fill_streams(master_seed, paths[block.live], params, ts, xs, block.columns)
         block = _impulse_kernel(spec, params, max_cycles, ts, xs, block)
         width = min(2 * width, _MAX_COLUMNS if block.live.size < _HANDOFF else _LOCKSTEP_COLUMNS)
     return block.results()

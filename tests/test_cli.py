@@ -107,6 +107,18 @@ def test_optimize_csv(capsys):
     assert "argmax a=0.1 b=14.0" in out
 
 
+def test_optimize_without_a_valid_cell_says_why(capsys):
+    # a start above the diagonal invalidates every cell; the line used to
+    # end at "no valid cell in the grid", and the CSV row has no error
+    rc, out = run(capsys, ["optimize", "--u1", "5", "--u2", "2", "--a-grid", "0.1",
+                           "--b-grid", "14"])
+    assert rc == 2
+    assert out.splitlines()[-1] == (
+        "no valid cell in the grid; first cell a=0.1 b=14.0: "
+        "series solution needs u1 < u2, got u1=5.0, u2=2.0; route u1 >= u2 starts to the simulator"
+    )
+
+
 def test_validate_passes(capsys):
     rc, out = run(capsys, ["validate"])
     assert rc == 0

@@ -288,6 +288,43 @@ def test_impulse_results_do_not_depend_on_the_handoff(params, monkeypatch, spec,
         assert simulate_impulse_path(spec, model, _path_rng(31, i), max_cycles) == row
 
 
+@pytest.mark.parametrize("handoff", [None, 0, simulate._HANDOFF])
+def test_impulse_path_reads_the_claim_of_the_column_whose_wait_it_used(params, monkeypatch,
+                                                                        handoff):
+    # from (3, 2): column 0 opens cycle 1 with a claim of 1.2; in column 1
+    # company 2 reaches u2 before the claim, a claim of 10 that would ruin
+    # company 1 if it were read; column 2 opens cycle 2 with a claim of 0.5,
+    # and company 2 recovers in column 3, whose claim is 10 again
+    spec = ImpulseSpec(3.0, 2.0, 0.5)
+    waits, claims = np.full(_MAX_COLUMNS, 1.0), np.full(_MAX_COLUMNS, 10.0)
+    claims[[0, 2]] = 1.2, 0.5
+    c1, c2, q = params.c1, params.c2, params.q
+    D = t = 0.0
+    for wait, x in ((waits[0], claims[0]), (waits[2], claims[2])):
+        D += c1 * (math.exp(-q * t) - math.exp(-q * (t + wait))) / q
+        t += wait + x / c2  # company 2 climbs back from u2 - x
+        D += ((c1 - c2) * x / c2 - spec.K) * math.exp(-q * t)
+    if handoff is None:
+        got_D, sigma, status, _, cause, _ = _impulse_loop(
+            spec.u1, spec.u2, spec.K, c1, c2, q, 2, waits.tolist(), claims.tolist()
+        )
+        censored = status == simulate._CENSORED
+    else:
+        # the lockstep loop (handoff 0) and the scalar loop behind the block
+        def fill(master_seed, paths, params, ts, xs, start):
+            ts[:] = waits[start : start + ts.shape[1]]
+            xs[:] = claims[start : start + xs.shape[1]]
+
+        monkeypatch.setattr(simulate, "_fill_streams", fill)
+        monkeypatch.setattr(simulate, "_HANDOFF", handoff)
+        results = _impulse_paths(spec, params, 0, np.arange(1), 2)
+        got_D, sigma, censored, cause = (a[0] for a in results)
+    # both cycles complete: no ruin, censored at max_cycles = 2
+    assert (bool(censored), int(cause)) == (True, 0)
+    assert float(got_D) == pytest.approx(D, rel=1e-12)
+    assert float(sigma) == pytest.approx(t, rel=1e-12)
+
+
 def test_impulse_rejects_a_time_horizon(params):
     # impulse paths are censored by cycle count; a horizon used to be
     # ignored without a word
