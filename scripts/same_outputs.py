@@ -51,6 +51,10 @@ COMMANDS = [
                           "--cost", "0.5"]),
     ("simulate-impulse-below", ["simulate", "impulse", *_SIM, "--seed", "9", "--u1", "1",
                                 "--u2", "2", "--cost", "0.5"]),
+    # a single path, a block of 100 paths, and an estimate of four blocks
+    *((f"simulate-impulse-{n}", ["simulate", "impulse", "--paths", str(n), "--moments", "1,2",
+                                 "--seed", "9", "--u1", "3", "--u2", "2", "--cost", "0.5"])
+      for n in (1, 100, 25_000)),
 ]
 
 

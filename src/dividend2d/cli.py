@@ -96,8 +96,11 @@ def _params_from(args) -> ModelParams:
     )
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _float_list(text: str, flag: str) -> list[float]:
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ParameterError([f"{flag} needs at least one value"])
+    return values
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -175,9 +178,8 @@ def cmd_table(args) -> int:
 
 def cmd_optimize(args) -> int:
     params = _params_from(args)
-    result = sweep_barrier(
-        Reserves(args.u1, args.u2), _float_list(args.a_grid), _float_list(args.b_grid), params
-    )
+    a_grid, b_grid = _float_list(args.a_grid, "--a-grid"), _float_list(args.b_grid, "--b-grid")
+    result = sweep_barrier(Reserves(args.u1, args.u2), a_grid, b_grid, params)
     _write(sweep_to_csv(result), args.out)
     if result.argmax is None:
         why = "".join(f"; first cell a={c.a!r} b={c.b!r}: {c.error}" for c in result.grid[:1])
@@ -247,9 +249,7 @@ def _run_validation(params: ModelParams, a_values: list[float], b: float) -> lis
 
 def cmd_validate(args) -> int:
     params = _params_from(args)
-    a_values = _float_list(args.a_values)
-    if not a_values:
-        raise ParameterError(["--a-values needs at least one slope"])
+    a_values = _float_list(args.a_values, "--a-values")
     failures = _run_validation(params, a_values, args.b)
     if args.dump_gammas:
         barrier = BarrierSpec.reflection(a_values[0], args.b, params)

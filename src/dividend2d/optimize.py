@@ -8,6 +8,7 @@ serves as validation elsewhere.
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: points per axis of the seed grid that starts a refinement
 _SEED_GRID = 5
 
-SWEEP_HEADER = "a,b,u1,u2,v1,terms,tail"
+SWEEP_HEADER = "a,b,u1,u2,v1,terms,tail,error"
 
 
 @dataclass(frozen=True)
@@ -82,18 +83,19 @@ def sweep_to_csv(result: SweepResult) -> str:
     """Sweep grid as CSV plus an ``argmax`` footer row.
 
     Numbers are written as plain floats, whatever scalar type the grid
-    was given in.
+    was given in; an invalid cell has no value and tail but its error, in
+    quotes when it holds a comma.
     """
     num = lambda x: repr(float(x))
     out = io.StringIO()
-    out.write(SWEEP_HEADER + "\n")
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(SWEEP_HEADER.split(","))
     for c in result.grid:
-        v = "" if c.v1 is None else num(c.v1)
-        tail = "" if c.v1 is None else num(c.tail)
-        out.write(f"{num(c.a)},{num(c.b)},{num(c.u1)},{num(c.u2)},{v},{c.terms},{tail}\n")
+        v, tail = ("", "") if c.v1 is None else (num(c.v1), num(c.tail))
+        rows.writerow([num(c.a), num(c.b), num(c.u1), num(c.u2), v, c.terms, tail, c.error or ""])
     if result.argmax is not None:
         a, b = result.argmax
-        out.write(f"argmax,{num(a)},{num(b)},,{num(result.argmax_value)},,\n")
+        rows.writerow(["argmax", num(a), num(b), "", num(result.argmax_value), "", "", ""])
     return out.getvalue()
 
 

@@ -15,25 +15,29 @@ Any column range of any set of paths is computed directly, so a path's
 draws do not depend on which block or process it runs in, and every
 estimate is a pure function of the seed.
 
-Barrier paths run through one NumPy kernel that moves a block of paths in
-lockstep, one inter-claim interval at a time.  The block starts on 8
-columns; paths still running when their columns run out resume on the
-next chunk, drawn for them alone and twice as wide (up to 64 columns).
-A single path is a block of one, so estimates, single-path calls and
-traces share every operation.  Both kernels drop finished paths from
-their arrays in batches, padded to a multiple of ``_LANES`` rows.
+Both controls run through one chunk driver.  A block of paths starts on
+``_FIRST_COLUMNS`` columns; paths still running when their columns run
+out resume on the next chunk, drawn for them alone and twice as wide, up
+to ``_MAX_COLUMNS``.  A single path is a block of one, so estimates,
+single-path calls and traces share every operation.  Both kernels drop
+finished paths from their arrays in batches, padded to a multiple of
+``_LANES`` rows.
 
-Impulse paths also run in blocks, drawn the same way.  In lockstep each
-path consumes one column per step, to start a cycle or for one step of
-its recovery race: the column's wait, and its claim unless company 2
-recovers first, in which case the claim goes unread and, the waits being
-memoryless, the next cycle starts on the next column.  When fewer than
-``_HANDOFF`` paths still run, they resume in a scalar loop on Python
-floats with their state and unread columns; smaller blocks, single paths
-included, run there from the start.  Both loops take every exponential from ``np.exp`` (the
-scalar loop on Python floats) and otherwise apply ``+ - * /`` and
-comparisons in the same order, so a path's bits do not depend on which
-loop ran which of its cycles.
+Barrier paths run through one NumPy kernel that moves a block of paths in
+lockstep, one inter-claim interval at a time.  Impulse paths run in
+lockstep too, each consuming one column per step, to start a cycle or for
+one step of its recovery race: the column's wait, and its claim unless
+company 2 recovers first, in which case the claim goes unread and, the
+waits being memoryless, the next cycle starts on the next column.  When
+fewer than ``_HANDOFF = _LANES`` paths still run, they resume in a scalar
+loop on Python floats with their state and unread columns; smaller
+blocks, single paths included, run there from the start.  A lockstep step
+on fewer than ``_LANES`` rows is padded to ``_LANES`` and costs the same
+however few paths run, while the scalar loop's cost shrinks with them.
+Both loops take every exponential from ``np.exp`` (the scalar loop on
+Python floats) and otherwise apply ``+ - * /`` and comparisons in the
+same order, so a path's bits do not depend on which loop ran which of its
+cycles.
 
 Each block's results reach the moment reduction as arrays, whose sums add
 one path at a time in path order, so an estimate does not depend on how
@@ -42,18 +46,17 @@ estimate runs on every core the process may use: the calling process
 takes every ``n``-th block and ``n - 1`` forked worker processes the
 others, in one pool made on first use and kept for the life of the
 process (the kernels hold the interpreter lock, so threads would not
-help).  An estimate is split into the fewest blocks of at most
-``_BLOCK`` barrier or ``_IMPULSE_BLOCK`` impulse paths, all of one size
-but the last, which may be shorter.  One that would fill fewer blocks
-than cores is cut instead into one block per core, of at least
-``_MIN_PART`` paths each; cut blocks cost more CPU per path, so only an
-estimate that runs on the pool is cut.  These run in the calling process
-alone: estimates of one block below ``2 * _MIN_PART`` paths, single
-paths, traces, estimates with claims other than ``ExponentialClaims`` (a
-worker would run the user's inverse CDF as it was when the pool forked),
-and every estimate on one core or on a platform without
-``os.sched_getaffinity`` or ``os.fork``.  Workers ignore SIGINT, so
-Ctrl-C stops the caller and leaves the pool usable.
+help).  An estimate of either control is split into the fewest blocks of
+at most ``_BLOCK`` paths, all of one size but the last, which may be
+shorter.  One that would fill fewer blocks than cores is cut instead into
+one block per core, of at least ``_MIN_PART`` paths each; cut blocks cost
+more CPU per path, so only an estimate that runs on the pool is cut.
+These run in the calling process alone: estimates of one block below
+``2 * _MIN_PART`` paths, single paths, traces, estimates with claims
+other than ``ExponentialClaims`` (a worker would run the user's inverse
+CDF as it was when the pool forked), and every estimate on one core or
+on a platform without ``os.sched_getaffinity`` or ``os.fork``.  Workers
+ignore SIGINT, so Ctrl-C stops the caller and leaves the pool usable.
 """
 
 from __future__ import annotations
@@ -100,22 +103,18 @@ TRACE_EVENTS = {
     5: "censored",
 }
 
-#: paths per block of the barrier estimator, and its chunk widths in
-#: columns: the first chunk, and the cap of the doubling after it
+#: paths per block of either estimator, and the chunk widths in columns:
+#: the first chunk, and the cap of the doubling after it
 _BLOCK = 8192
 _FIRST_COLUMNS = 8
 _MAX_COLUMNS = 64
 
-#: paths per block of the impulse estimator; the running paths below which
-#: a block leaves lockstep for the scalar loop (an impulse path at the
-#: benchmark point uses a median of about 50 columns, but the longest of a
-#: block several hundred); the widest lockstep chunk, since a wider one
-#: draws more columns that the paths ending inside it never read, and
-#: holds more of them at once; and the multiple lockstep rows are padded to
-_IMPULSE_BLOCK = 2048
-_HANDOFF = 256
-_LOCKSTEP_COLUMNS = 32
+#: the multiple kernel rows are padded to, and the running paths below
+#: which an impulse block leaves lockstep for the scalar loop: a lockstep
+#: step on fewer rows costs as much as one on ``_LANES``.  Tests set
+#: ``_HANDOFF`` to force either loop
 _LANES = 64
+_HANDOFF = _LANES
 
 #: counters per slice of a stream fill, so that its arrays stay in cache
 _FILL_COUNTERS = 1 << 13
@@ -511,8 +510,25 @@ def _barrier_kernel(
                 alive, running = np.arange(keep.size) < still, still
     keep = np.flatnonzero(alive)
     block.live, block.y1, block.y2, block.t, block.paid = (a[keep] for a in (live, y1, y2, t, D))
-    block.columns += n_cols
     return block
+
+
+def _run_chunks(kernel, block: _Block, params: ModelParams, master_seed: int,
+                paths: np.ndarray) -> _Results:
+    """Per-path results of ``block``, the block of paths ``paths``, run by
+    ``kernel(ts, xs, block)`` until no path is left running.
+
+    The first chunk is ``_FIRST_COLUMNS`` columns wide; each further chunk
+    is drawn for the running paths alone, from the column each has reached,
+    and is twice as wide as the last, up to ``_MAX_COLUMNS``."""
+    width = _FIRST_COLUMNS
+    while block.live.size:
+        ts, xs = np.empty((block.live.size, width)), np.empty((block.live.size, width))
+        _fill_streams(master_seed, paths[block.live], params, ts, xs, block.columns)
+        block = kernel(ts, xs, block)
+        block.columns += width
+        width = min(2 * width, _MAX_COLUMNS)
+    return block.results()
 
 
 def _barrier_paths(
@@ -525,21 +541,14 @@ def _barrier_paths(
     trace: list | None = None,
 ) -> _Results:
     """Per-path (D, sigma, censored, cause) arrays of barrier paths, run
-    from ``u`` as one block until each ruins or is censored, drawing every
-    further chunk of columns for the running paths only.  ``trace`` (a
+    from ``u`` as one block until each ruins or is censored.  ``trace`` (a
     list, blocks of one path only) receives that path's event rows."""
-    block, width = _BarrierBlock(u, paths.size), _FIRST_COLUMNS
     if trace is not None:
         if paths.size != 1:
             raise ValueError("tracing needs a block of one path")
         trace.append((0.0, float(u.u1), float(u.u2), 0))
-    while block.live.size:
-        rows = paths[block.live]
-        ts, xs = np.empty((rows.size, width)), np.empty((rows.size, width))
-        _fill_streams(master_seed, rows, params, ts, xs, block.columns)
-        block = _barrier_kernel(barrier, params, max_time, ts, xs, block, trace)
-        width = min(2 * width, _MAX_COLUMNS)
-    return block.results()
+    kernel = partial(_barrier_kernel, barrier, params, max_time, trace=trace)
+    return _run_chunks(kernel, _BarrierBlock(u, paths.size), params, master_seed, paths)
 
 
 def _impulse_loop(u1, u2, K, c1, c2, q, max_cycles, ts, xs, D=0.0, t=0.0, cycle=0, race=None):
@@ -636,9 +645,11 @@ def _impulse_kernel(
     In lockstep each path consumes one column per step, to start a cycle
     or for one step of its recovery race, as ``_impulse_loop`` does;
     finished paths are compacted away in batches.  Once fewer than
-    ``_HANDOFF`` paths run, each resumes in the scalar loop
+    ``_HANDOFF`` (``_LANES``) paths run, each resumes in the scalar loop
     ``_impulse_loop`` with its state and unread columns; a block smaller
-    than that runs there from the start.  Both loops take every
+    than that runs there from the start.  A lockstep step on fewer rows
+    would still be padded to ``_LANES`` rows and cost as much, while the
+    scalar loop costs less the fewer paths it runs.  Both loops take every
     exponential from ``np.exp`` and otherwise apply ``+ - * /`` and
     comparisons in the same order, so a path's result does not depend on
     which loop ran which of its cycles.
@@ -715,7 +726,6 @@ def _impulse_kernel(
     block.live, block.paid, block.t, block.cycle, block.z, block.s, block.racing = (
         live, D, t, cycle, z, s, racing
     )
-    block.columns += ts.shape[1]
     return block
 
 
@@ -726,23 +736,16 @@ def _impulse_paths(
     one block until each ruins or completes ``max_cycles`` cycles.
 
     Each path consumes one column of its stream per wait, a wait and its
-    claim, as a barrier path does.  A block starts on ``_FIRST_COLUMNS``
-    columns, and its running paths
-    resume on chunks drawn for them alone, twice as wide each time up to
-    ``_LOCKSTEP_COLUMNS`` while they run in lockstep and ``_MAX_COLUMNS``
-    once they run in the scalar loop.  A block that runs in the scalar loop
-    from the start uses chunks of ``_MAX_COLUMNS`` throughout.
+    claim, as a barrier path does.  An estimate's blocks hold at most
+    ``_BLOCK`` paths and run on the chunks of ``_run_chunks``, as barrier
+    blocks do, whichever loop of ``_impulse_kernel`` runs them.  A block
+    runs in lockstep while at least ``_HANDOFF = _LANES`` of its paths
+    run: a lockstep step on fewer is padded to ``_LANES`` rows anyway.
     """
     if max_cycles < 1:
         raise ValueError(f"max_cycles >= 1 required, got {max_cycles}")
-    block = _ImpulseBlock(paths.size)
-    width = _FIRST_COLUMNS if paths.size >= _HANDOFF else _MAX_COLUMNS
-    while block.live.size:
-        ts, xs = np.empty((block.live.size, width)), np.empty((block.live.size, width))
-        _fill_streams(master_seed, paths[block.live], params, ts, xs, block.columns)
-        block = _impulse_kernel(spec, params, max_cycles, ts, xs, block)
-        width = min(2 * width, _MAX_COLUMNS if block.live.size < _HANDOFF else _LOCKSTEP_COLUMNS)
-    return block.results()
+    kernel = partial(_impulse_kernel, spec, params, max_cycles)
+    return _run_chunks(kernel, _ImpulseBlock(paths.size), params, master_seed, paths)
 
 
 @dataclass
@@ -939,6 +942,14 @@ def _in_order(work, n_paths: int, size: int, forkable: bool) -> Iterator[_Result
             future.cancel()
 
 
+def _estimate(work, cfg: SimConfig, payout_rate: float, params: ModelParams) -> DividendEstimate:
+    """Moments of ``work(paths)``'s results over the blocks of
+    ``cfg.n_paths`` paths, on the pool when the claims allow it."""
+    forkable = type(params.claims) is ExponentialClaims
+    with closing(_in_order(work, cfg.n_paths, _BLOCK, forkable)) as results:
+        return _accumulate(cfg, payout_rate, params, results)
+
+
 def estimate_barrier_moments(
     u: Reserves,
     barrier: BarrierSpec,
@@ -952,9 +963,7 @@ def estimate_barrier_moments(
     """
     max_time = _barrier_horizon(u, barrier, params, cfg.max_time)
     work = partial(_barrier_paths, u, barrier, params, max_time, cfg.master_seed)
-    forkable = type(params.claims) is ExponentialClaims
-    with closing(_in_order(work, cfg.n_paths, _BLOCK, forkable)) as results:
-        return _accumulate(cfg, barrier.delta0, params, results)
+    return _estimate(work, cfg, barrier.delta0, params)
 
 
 def estimate_impulse_moments(
@@ -973,6 +982,4 @@ def estimate_impulse_moments(
             f"impulse paths are censored by cycle count; max_time must be None, got {cfg.max_time}"
         )
     work = partial(_impulse_paths, spec, params, cfg.master_seed, max_cycles=1_000_000)
-    forkable = type(params.claims) is ExponentialClaims
-    with closing(_in_order(work, cfg.n_paths, _IMPULSE_BLOCK, forkable)) as results:
-        return _accumulate(cfg, params.c1, params, results)
+    return _estimate(work, cfg, params.c1, params)

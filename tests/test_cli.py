@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import signal
@@ -103,13 +104,39 @@ def test_optimize_csv(capsys):
     rc, out = run(capsys, ["optimize", "--u1", "1", "--u2", "2",
                            "--a-grid", "0.1,0.2", "--b-grid", "14,15"])
     assert rc == 0
-    assert out.splitlines()[0] == "a,b,u1,u2,v1,terms,tail"
+    assert out.splitlines()[0] == "a,b,u1,u2,v1,terms,tail,error"
     assert "argmax a=0.1 b=14.0" in out
+
+
+@pytest.mark.parametrize("flag", ["--a-grid", "--b-grid"])
+def test_optimize_rejects_an_empty_grid(capsys, flag):
+    # an empty grid used to print the CSV header and a bare "no valid cell
+    # in the grid", naming neither flag
+    argv = ["optimize", "--u1", "1", "--u2", "2", "--a-grid", "0.1", "--b-grid", "14"]
+    argv[argv.index(flag) + 1] = ""
+    rc, out = run(capsys, argv)
+    assert rc == 2
+    assert out == f"error: {flag} needs at least one value\n"
+
+
+def test_optimize_csv_keeps_each_cells_error(tmp_path, capsys):
+    # the error used to be dropped, leaving "5.0,2.0,,0," at the row's end;
+    # it holds commas, so the csv module must quote it to read it back
+    out_file = tmp_path / "sweep.csv"
+    rc, out = run(capsys, ["optimize", "--u1", "5", "--u2", "2", "--a-grid", "0.1",
+                           "--b-grid", "14", "--out", str(out_file)])
+    assert rc == 2
+    with open(out_file, newline="") as fh:
+        header, *cells = csv.reader(fh)
+    assert header == ["a", "b", "u1", "u2", "v1", "terms", "tail", "error"]
+    error = "series solution needs u1 < u2, got u1=5.0, u2=2.0; route u1 >= u2 starts to the simulator"
+    assert cells == [["0.1", "14.0", "5.0", "2.0", "", "0", "", error]]
+    assert out.splitlines()[-1].endswith(error)
 
 
 def test_optimize_without_a_valid_cell_says_why(capsys):
     # a start above the diagonal invalidates every cell; the line used to
-    # end at "no valid cell in the grid", and the CSV row has no error
+    # end at "no valid cell in the grid"
     rc, out = run(capsys, ["optimize", "--u1", "5", "--u2", "2", "--a-grid", "0.1",
                            "--b-grid", "14"])
     assert rc == 2

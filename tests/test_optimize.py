@@ -53,7 +53,7 @@ def test_invalid_cells_recorded_not_fatal(params):
 def test_csv_format(params):
     res = sweep_barrier(Reserves(1.0, 2.0), [0.1], [14.0, 15.0], params)
     lines = sweep_to_csv(res).strip().splitlines()
-    assert lines[0] == SWEEP_HEADER
+    assert lines[0] == SWEEP_HEADER == "a,b,u1,u2,v1,terms,tail,error"
     assert len(lines) == 4  # header + 2 cells + argmax footer
     assert lines[-1].startswith("argmax,")
 

@@ -269,18 +269,22 @@ def test_numpy_exp_of_a_float_equals_its_array_lane():
 )
 def test_impulse_results_do_not_depend_on_the_handoff(params, monkeypatch, spec, claim_size, max_cycles):
     # lockstep to the end, the default handoff, and the scalar loop alone
-    # give the same per-path arrays and estimates, bit for bit
+    # give the same per-path arrays and estimates, bit for bit; so does a
+    # block of 100 paths, which starts in lockstep at the default handoff
     model = params if claim_size is None else _constant_claims(claim_size)
     paths = np.arange(1500)
     cfg = SimConfig(n_paths=1500, master_seed=31, moment_orders=(1, 2))
     runs = []
-    for handoff in (0, simulate._HANDOFF, simulate._IMPULSE_BLOCK + 1):
+    assert simulate._HANDOFF <= 100
+    for handoff in (0, simulate._HANDOFF, simulate._BLOCK + 1):
         monkeypatch.setattr(simulate, "_HANDOFF", handoff)
         est = estimate_impulse_moments(spec, model, cfg) if max_cycles == 1_000_000 else None
-        runs.append((_impulse_paths(spec, model, 31, paths, max_cycles), est))
-    (lockstep, est), *others = runs
-    for results, other in others:
+        runs.append((_impulse_paths(spec, model, 31, paths, max_cycles), est,
+                     _impulse_paths(spec, model, 31, paths[:100], max_cycles)))
+    lockstep, est, _ = runs[0]
+    for results, other, small in runs:
         assert all(np.array_equal(a, b) for a, b in zip(lockstep, results))
+        assert all(np.array_equal(a[:100], b) for a, b in zip(lockstep, small))
         assert other == est
     D, sigma, censored, cause = lockstep
     for i in (0, 1, 777, 1499):
@@ -417,10 +421,18 @@ def test_estimates_do_not_depend_on_the_block_size(params, barrier, monkeypatch)
 
     default = run()
     assert 0 < default[0].n_censored < bar_cfg.n_paths
-    assert simulate._BLOCK > bar_cfg.n_paths and simulate._IMPULSE_BLOCK < imp_cfg.n_paths
+    assert simulate._BLOCK > bar_cfg.n_paths
     monkeypatch.setattr(simulate, "_BLOCK", 1000)
-    monkeypatch.setattr(simulate, "_IMPULSE_BLOCK", 1000)
+    blocks, accumulate = [], simulate._accumulate
+
+    def counted(cfg, payout_rate, params, results):
+        results = list(results)
+        blocks.append(len(results))
+        return accumulate(cfg, payout_rate, params, results)
+
+    monkeypatch.setattr(simulate, "_accumulate", counted)
     assert run() == default
+    assert blocks == [3, 3]  # the impulse paths too ran in three blocks
 
 
 def test_trace_structure(params, barrier):
@@ -637,10 +649,9 @@ def test_barrier_estimates_do_not_depend_on_the_core_count(params, monkeypatch, 
 
 @pytest.mark.parametrize("spec", [ImpulseSpec(3.0, 2.0, 0.5), ImpulseSpec(1.0, 2.0, 0.5)])
 def test_impulse_estimates_do_not_depend_on_the_core_count(params, monkeypatch, spec):
-    # several blocks; one block too small to cut; one block cut into two
-    # parts of _MIN_PART paths; a full block and a block of one path
-    sizes = [3 * simulate._IMPULSE_BLOCK + 5, 2 * simulate._MIN_PART - 1, 2 * simulate._MIN_PART,
-             simulate._IMPULSE_BLOCK + 1]
+    # one block cut into two parts; one block too small to cut; one block
+    # cut into two parts of _MIN_PART paths, and one of a part more
+    sizes = [3 * 2048 + 5, 2 * simulate._MIN_PART - 1, 2 * simulate._MIN_PART, 2048 + 1]
     pooled = _compare_core_counts(monkeypatch, partial(estimate_impulse_moments, spec, params),
                                   sizes)
     assert simulate._pool is not None
@@ -650,8 +661,10 @@ def test_impulse_estimates_do_not_depend_on_the_core_count(params, monkeypatch, 
 @pytest.mark.parametrize("size, n_paths, blocks", [
     (simulate._BLOCK, 10_000, [5000, 5000]),  # not 8192 + 1808
     (simulate._BLOCK, 16_384, [8192, 8192]),
-    (simulate._IMPULSE_BLOCK, 2 * simulate._MIN_PART, [1024, 1024]),
-    (simulate._IMPULSE_BLOCK, 2 * simulate._MIN_PART - 1, [2047]),
+    # a block size above the path count: two cores cut the one block into
+    # parts of _MIN_PART paths only when it holds two such parts
+    (2048, 2 * simulate._MIN_PART, [1024, 1024]),
+    (2048, 2 * simulate._MIN_PART - 1, [2047]),
 ])
 def test_blocks_on_two_cores_are_balanced(monkeypatch, size, n_paths, blocks):
     _cores(monkeypatch, 2)
