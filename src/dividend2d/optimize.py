@@ -83,8 +83,7 @@ def sweep_to_csv(result: SweepResult) -> str:
     """Sweep grid as CSV plus an ``argmax`` footer row.
 
     Numbers are written as plain floats, whatever scalar type the grid
-    was given in; an invalid cell has no value and tail but its error, in
-    quotes when it holds a comma.
+    was given in.
     """
     num = lambda x: repr(float(x))
     out = io.StringIO()

@@ -15,29 +15,27 @@ Any column range of any set of paths is computed directly, so a path's
 draws do not depend on which block or process it runs in, and every
 estimate is a pure function of the seed.
 
-Both controls run through one chunk driver.  A block of paths starts on
-``_FIRST_COLUMNS`` columns; paths still running when their columns run
-out resume on the next chunk, drawn for them alone and twice as wide, up
-to ``_MAX_COLUMNS``.  A single path is a block of one, so estimates,
-single-path calls and traces share every operation.  Both kernels drop
-finished paths from their arrays in batches, padded to a multiple of
-``_LANES`` rows.
-
 Barrier paths run through one NumPy kernel that moves a block of paths in
-lockstep, one inter-claim interval at a time.  Impulse paths run in
-lockstep too, each consuming one column per step, to start a cycle or for
-one step of its recovery race: the column's wait, and its claim unless
-company 2 recovers first, in which case the claim goes unread and, the
-waits being memoryless, the next cycle starts on the next column.  When
-fewer than ``_HANDOFF = _LANES`` paths still run, they resume in a scalar
-loop on Python floats with their state and unread columns; smaller
-blocks, single paths included, run there from the start.  A lockstep step
-on fewer than ``_LANES`` rows is padded to ``_LANES`` and costs the same
-however few paths run, while the scalar loop's cost shrinks with them.
-Both loops take every exponential from ``np.exp`` (the scalar loop on
-Python floats) and otherwise apply ``+ - * /`` and comparisons in the
-same order, so a path's bits do not depend on which loop ran which of its
-cycles.
+lockstep, one inter-claim interval at a time, and impulse paths through
+another; one driver feeds both the same chunks.  A block starts on 8
+columns; paths still running when their columns run out resume on the
+next chunk, drawn for them alone and twice as wide (up to 64 columns).
+A single path is a block of one, so estimates, single-path calls and
+traces share every operation.  Both kernels drop finished paths from
+their arrays in batches, padded to a multiple of ``_LANES`` rows.
+
+In lockstep each impulse path consumes one column per step, to start a
+cycle or for one step of its recovery race: the column's wait, and its
+claim unless company 2 recovers first, in which case the claim goes
+unread and, the waits being memoryless, the next cycle starts on the
+next column.  When fewer than ``_HANDOFF = _LANES`` paths still run (a
+lockstep step is padded to ``_LANES`` rows, so it costs as much however
+few run), they resume in a scalar loop on Python floats with their state
+and unread columns; smaller blocks, single paths included, run there
+from the start.  Both loops take every exponential from ``np.exp`` (the
+scalar loop on Python floats) and otherwise apply ``+ - * /`` and
+comparisons in the same order, so a path's bits do not depend on which
+loop ran which of its cycles.
 
 Each block's results reach the moment reduction as arrays, whose sums add
 one path at a time in path order, so an estimate does not depend on how
@@ -109,12 +107,10 @@ _BLOCK = 8192
 _FIRST_COLUMNS = 8
 _MAX_COLUMNS = 64
 
-#: the multiple kernel rows are padded to, and the running paths below
-#: which an impulse block leaves lockstep for the scalar loop: a lockstep
-#: step on fewer rows costs as much as one on ``_LANES``.  Tests set
-#: ``_HANDOFF`` to force either loop
+#: the multiple kernel rows are padded to, and so the running paths below
+#: which an impulse block leaves lockstep, whose steps cost as much on fewer
 _LANES = 64
-_HANDOFF = _LANES
+_HANDOFF = _LANES  # a name of its own, so that tests can force either loop
 
 #: counters per slice of a stream fill, so that its arrays stay in cache
 _FILL_COUNTERS = 1 << 13
@@ -402,7 +398,6 @@ def _barrier_kernel(
     ``trace`` (a list, blocks of one path only) receives the event rows
     (t, y1, y2, code) of that path after its start row.
     """
-    n_cols = ts.shape[1]
     a, b, q, tol = barrier.a, barrier.b, params.q, ON_LINE_TOL
     c1, c2 = params.c1, params.c2
     d0 = barrier.delta0
@@ -438,7 +433,7 @@ def _barrier_kernel(
         alive[sel] = False
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(n_cols):
+        for k in range(ts.shape[1]):
             rem = ts[rows, k]
             pos = np.flatnonzero(alive & (rem > 0.0))
             while pos.size:
@@ -516,11 +511,8 @@ def _barrier_kernel(
 def _run_chunks(kernel, block: _Block, params: ModelParams, master_seed: int,
                 paths: np.ndarray) -> _Results:
     """Per-path results of ``block``, the block of paths ``paths``, run by
-    ``kernel(ts, xs, block)`` until no path is left running.
-
-    The first chunk is ``_FIRST_COLUMNS`` columns wide; each further chunk
-    is drawn for the running paths alone, from the column each has reached,
-    and is twice as wide as the last, up to ``_MAX_COLUMNS``."""
+    ``kernel(ts, xs, block)`` on chunks drawn for its running paths alone:
+    ``_FIRST_COLUMNS`` wide, then twice as wide each time, up to ``_MAX_COLUMNS``."""
     width = _FIRST_COLUMNS
     while block.live.size:
         ts, xs = np.empty((block.live.size, width)), np.empty((block.live.size, width))
@@ -645,11 +637,10 @@ def _impulse_kernel(
     In lockstep each path consumes one column per step, to start a cycle
     or for one step of its recovery race, as ``_impulse_loop`` does;
     finished paths are compacted away in batches.  Once fewer than
-    ``_HANDOFF`` (``_LANES``) paths run, each resumes in the scalar loop
-    ``_impulse_loop`` with its state and unread columns; a block smaller
-    than that runs there from the start.  A lockstep step on fewer rows
-    would still be padded to ``_LANES`` rows and cost as much, while the
-    scalar loop costs less the fewer paths it runs.  Both loops take every
+    ``_HANDOFF = _LANES`` paths run, a lockstep step costs as much as on
+    ``_LANES``, so each resumes in the scalar loop ``_impulse_loop`` with
+    its state and unread columns; a smaller block runs there from the
+    start.  The chunks are the same in either loop.  Both loops take every
     exponential from ``np.exp`` and otherwise apply ``+ - * /`` and
     comparisons in the same order, so a path's result does not depend on
     which loop ran which of its cycles.
@@ -943,8 +934,7 @@ def _in_order(work, n_paths: int, size: int, forkable: bool) -> Iterator[_Result
 
 
 def _estimate(work, cfg: SimConfig, payout_rate: float, params: ModelParams) -> DividendEstimate:
-    """Moments of ``work(paths)``'s results over the blocks of
-    ``cfg.n_paths`` paths, on the pool when the claims allow it."""
+    """Moments of ``work(paths)``'s results over ``cfg.n_paths`` paths."""
     forkable = type(params.claims) is ExponentialClaims
     with closing(_in_order(work, cfg.n_paths, _BLOCK, forkable)) as results:
         return _accumulate(cfg, payout_rate, params, results)
