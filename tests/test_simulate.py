@@ -649,8 +649,8 @@ def test_barrier_estimates_do_not_depend_on_the_core_count(params, monkeypatch, 
 
 @pytest.mark.parametrize("spec", [ImpulseSpec(3.0, 2.0, 0.5), ImpulseSpec(1.0, 2.0, 0.5)])
 def test_impulse_estimates_do_not_depend_on_the_core_count(params, monkeypatch, spec):
-    # one block cut into two parts; one block too small to cut; one block
-    # cut into two parts of _MIN_PART paths, and one of a part more
+    # one block each, cut into two parts on two cores, but for the block
+    # of 2 * _MIN_PART - 1 paths, too small to cut
     sizes = [3 * 2048 + 5, 2 * simulate._MIN_PART - 1, 2 * simulate._MIN_PART, 2048 + 1]
     pooled = _compare_core_counts(monkeypatch, partial(estimate_impulse_moments, spec, params),
                                   sizes)
