@@ -47,6 +47,14 @@ COMMANDS = [
     ("value-impulse-below", ["value-impulse", "--u1", "1", "--u2", "2", "--cost", "0.5"]),
     ("simulate-barrier", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "1", "--u2", "2",
                           "--a", "0.1", "--b", "14", "--trace", "path.csv"]),
+    ("simulate-barrier-table3", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "0",
+                                 "--u2", "0.2", "--a", "0.9", "--b", "1.8", "--trace", "path.csv"]),
+    ("simulate-barrier-horizon", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "1",
+                                  "--u2", "2", "--a", "0.1", "--b", "14", "--max-time", "3"]),
+    ("simulate-barrier-alpha0.6", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "1",
+                                   "--u2", "2", "--a", "0.1", "--b", "14", "--alpha", "0.6"]),
+    ("simulate-barrier-u1-above-u2", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "3",
+                                      "--u2", "2", "--a", "0.1", "--b", "14"]),
     ("simulate-impulse", ["simulate", "impulse", *_SIM, "--seed", "9", "--u1", "3", "--u2", "2",
                           "--cost", "0.5"]),
     ("simulate-impulse-below", ["simulate", "impulse", *_SIM, "--seed", "9", "--u1", "1",

@@ -17,7 +17,11 @@ estimate is a pure function of the seed.
 
 Barrier paths run through one NumPy kernel that moves a block of paths in
 lockstep, one inter-claim interval at a time, and impulse paths through
-another; one driver feeds both the same chunks.  A block starts on 8
+another; one driver feeds both the same chunks.  Each pass of the barrier
+kernel moves the rows below the line first and then, in the same pass,
+the rows in the payout set with those that reached the line, each row
+under its own drift only (``_barrier_kernel`` says why no row's bits
+depend on which rows share its pass).  A block starts on 8
 columns; paths still running when their columns run out resume on the
 next chunk, drawn for them alone and twice as wide (up to 64 columns).
 A single path is a block of one, so estimates, single-path calls and
@@ -389,6 +393,15 @@ def _barrier_kernel(
     path's result does not depend on which block it runs in, nor on how
     its columns are split into chunks.
 
+    Each pass over the rows still in the interval moves the rows below the
+    line first, under the premium drift alone, to the line, the claim or
+    past the horizon (censored).  Rows that reach the line with time left
+    join the rows in the payout set, and the payout step runs on those rows
+    only, in the same pass.  A row that reaches the line holds
+    ``y2 = b - a*y1`` exactly, so its distance to the line recomputes to 0:
+    it takes the payout step it would take on a pass of its own, with the
+    same operations in the same order, and its trace rows keep their order.
+
     When the payout drift points back below the line while the premium
     drift points above it, the line attracts from both sides and the
     trajectory slides along it (the chattering limit): payout accrues at
@@ -425,6 +438,8 @@ def _barrier_kernel(
 
     def finish(pos, code, fin, cause=0):
         sel = pos[fin]
+        if not sel.size:
+            return
         idx = live[sel]
         block.D[idx] = D[sel]
         block.sigma[idx] = t[sel]
@@ -437,53 +452,66 @@ def _barrier_kernel(
             rem = ts[rows, k]
             pos = np.flatnonzero(alive & (rem > 0.0))
             while pos.size:
-                # the rows still in the interval, padded to a multiple of
-                # _LANES with copies, which compute and write the same values
+                # the rows still in the interval, by region, each set padded to a
+                # multiple of _LANES with copies that compute and write alike
+                n = pos.size
+                pos = _padded(pos)
+                below = (y2[pos] - (b - a * y1[pos]) < -tol)[:n]
+                low, pos = pos[:n][below], pos[:n][~below]
+                if low.size:
+                    # below the line: premium drift toward it, no payout, no ruin
+                    n = low.size
+                    low = _padded(low)
+                    Y1, Y2, T, R = y1[low], y2[low], t[low], rem[low]
+                    t_hit = -(Y2 - (b - a * Y1)) / approach
+                    hit = t_hit < R
+                    dt = np.where(hit, t_hit, R)
+                    Y1 = Y1 + c1 * dt
+                    Y2 = np.where(hit, b - a * Y1, Y2 + c2 * dt)
+                    T, R = T + dt, R - dt
+                    y1[low], y2[low], t[low], rem[low] = Y1, Y2, T, R
+                    censored = T >= max_time
+                    note(hit, 1, T, Y1, Y2)
+                    note(censored, 5, T, Y1, Y2)
+                    finish(low, _CENSORED, censored)
+                    # a hit leaves time (t_hit < R) and y2 = b - a*y1 exactly
+                    pos = np.concatenate((pos, low[:n][(hit & ~censored)[:n]]))
+                if not pos.size:
+                    break
+                # in the payout set: diverted (or sliding) drift
                 n = pos.size
                 pos = _padded(pos)
                 Y1, Y2, T, A, R = y1[pos], y2[pos], t[pos], D[pos], rem[pos]
-                f = Y2 - (b - a * Y1)
-                below = f < -tol
-                # below the line: premium drift toward it, no payout, no ruin
-                t_hit = -f / approach
-                hit = below & (t_hit < R)
-                dtb = np.where(hit, t_hit, R)
-                y1b = Y1 + c1 * dtb
-                y2b = np.where(hit, b - a * y1b, Y2 + c2 * dtb)
-                # in the payout set: diverted (or sliding) drift
-                sliding = (f <= tol) & (rate_f < 0.0)
-                w1 = np.where(sliding, slide[0], v1b)
-                w2 = np.where(sliding, slide[1], v2b)
-                pay = np.where(sliding, slide[2], d0)
-                dt = R.copy()
+                w1, w2, pay = v1b, v2b, d0
+                if rate_f < 0.0:
+                    f = Y2 - (b - a * Y1)
+                    sliding = f <= tol
+                    w1, w2, pay = (np.where(sliding, s, w) for s, w in zip(slide, (v1b, v2b, d0)))
+                dt = R
                 kind = np.zeros(pos.size, dtype=np.int8)
-                for cause, w, y in ((_RUIN_C1, w1, Y1), (_RUIN_C2, w2, Y2)):
-                    tt = y / -w
-                    earlier = (w < 0.0) & (tt < dt)
-                    dt = np.where(earlier, tt, dt)
-                    kind[earlier] = -cause  # this company's axis crossing
+                for cause, w, y, lowest in ((_RUIN_C1, w1, Y1, min(v1b, slide[0])),
+                                            (_RUIN_C2, w2, Y2, min(v2b, slide[1]))):
+                    if lowest < 0.0:  # a drift that is never negative crosses no axis
+                        tt = y / -w
+                        earlier = (w < 0.0) & (tt < dt)
+                        dt = np.where(earlier, tt, dt)
+                        kind[earlier] = -cause  # this company's axis crossing
                 if rate_f < 0.0:
                     tt = f / -rate_f  # descends onto the line, then slides
-                    earlier = ~sliding & (f > tol) & (tt < dt)
+                    earlier = ~sliding & (tt < dt)
                     dt = np.where(earlier, tt, dt)
                     kind[earlier] = 2
                 late = T + dt > max_time
                 dt = np.where(late, max_time - T, dt)
                 kind[late] = 3
-                A_pay = A + pay * (np.exp(-q * T) - np.exp(-q * (T + dt))) / q
-                y1p = Y1 + w1 * dt
-                y2p = np.where(kind == 2, b - a * y1p, Y2 + w2 * dt)
-                Y1 = np.where(below, y1b, y1p)
-                Y2 = np.where(below, y2b, y2p)
-                T = T + np.where(below, dtb, dt)
-                R = R - np.where(below, dtb, dt)
-                y1[pos], y2[pos], t[pos], rem[pos] = Y1, Y2, T, R
-                D[pos] = np.where(below, A, A_pay)
-                above = ~below
-                note(hit, 1, T, Y1, Y2)
-                note(above & (kind == 2), 2, T, Y1, Y2)
-                ruined = above & (kind < 0)
-                censored = np.where(below, T >= max_time, kind == 3)
+                A = A + pay * (np.exp(-q * T) - np.exp(-q * (T + dt))) / q
+                Y1, Y2 = Y1 + w1 * dt, Y2 + w2 * dt
+                if rate_f < 0.0:
+                    Y2 = np.where(kind == 2, b - a * Y1, Y2)
+                T, R = T + dt, R - dt
+                y1[pos], y2[pos], t[pos], D[pos], rem[pos] = Y1, Y2, T, A, R
+                ruined, censored = kind < 0, kind == 3
+                note(kind == 2, 2, T, Y1, Y2)
                 note(ruined, 4, T, Y1, Y2)
                 note(censored, 5, T, Y1, Y2)
                 finish(pos, _DONE, ruined, -kind)

@@ -457,6 +457,84 @@ def test_trace_ends_censored_below_line(params):
     assert y2 < far.line_height(y1)
 
 
+def _pinned(m1, m2, m3, ruin_time_mean, bias, n_censored=0, n_ruin_company2=0):
+    return DividendEstimate({1: m1, 2: m2, 3: m3}, ruin_time_mean, bias, 2000, n_censored,
+                            n_ruin_company2)
+
+
+# 2,000 paths, seed 7, moments 1-3: every branch of the barrier kernel, its
+# bits frozen; deltas None is the reflection barrier
+@pytest.mark.parametrize("u, a, b, deltas, alpha, expected", [
+    pytest.param((1.0, 2.0), 0.1, 14.0, None, 2.0, _pinned(
+        (37.80657021705391, 0.14387404096148373), (1470.736230902201, 6.559383527148632),
+        (57417.3637347067, 305.687263670618), 25.270626167356244, 0.0), id="table1-argmax"),
+    pytest.param((0.4, 0.6), 0.9, 1.8, None, 2.0, _pinned(
+        (5.125453337707683, 0.0414805019634918), (29.711536003305326, 0.30666989160136965),
+        (177.1079784013121, 2.0877122117110223), 0.9249860085374295, 0.0), id="table3"),
+    # about a third of the paths ruined by company 2 alone
+    pytest.param((1.0, 2.0), 0.1, 14.0, None, 0.6, _pinned(
+        (14.710491147002648, 0.28013978505589165), (373.3551481283656, 8.79386507450572),
+        (10197.929532677705, 292.5873016436645), 34.59173744940231, 7.844060751799478e-06,
+        161, 628), id="alpha0.6"),
+    # diverted drift (-2, 2.5), away from the line
+    pytest.param((1.0, 2.0), 0.1, 14.0, (6.0, 0.5), 2.0, _pinned(
+        (19.496029324966216, 0.078216551090212), (392.3308171688381, 2.005747383014446),
+        (7946.852400786002, 51.54504075326354), 10.2957205220923, 0.0), id="general"),
+    # an attracting line, reached from below and by descent from above
+    pytest.param((1.0, 2.0), 0.5, 45.0, (5.0, 4.0), 2.0, _pinned(
+        (21.250860459953508, 0.08764693397803447), (466.9630403599153, 2.5402462068160037),
+        (10345.097673574994, 72.79644888464632), 0.15850389366592624, 9.730625677263331e-05,
+        1951), id="sliding-below"),
+    pytest.param((10.0, 50.0), 0.5, 45.0, (5.0, 4.0), 2.0, _pinned(
+        (69.80796174079659, 0.08648502821035253), (4888.110842613611, 10.920517373268968),
+        (343103.4973410166, 1071.5336256811297), 7.524454476214476, 9.89561701330655e-05,
+        1984), id="sliding-above"),
+])
+def test_barrier_estimates_keep_their_bits(u, a, b, deltas, alpha, expected):
+    model = ModelParams(c1=4.0, c2=3.0, lam=1.0, claims=ExponentialClaims(alpha), q=0.1)
+    bar = BarrierSpec(a, b, *deltas) if deltas else BarrierSpec.reflection(a, b, model)
+    cfg = SimConfig(n_paths=2000, master_seed=7, moment_orders=(1, 2, 3))
+    assert estimate_barrier_moments(Reserves(*u), bar, model, cfg) == expected
+
+
+def test_short_horizon_censors_below_the_line_and_in_the_payout_set(params):
+    u, bar, horizon = Reserves(0.4, 0.6), BarrierSpec.reflection(0.9, 1.8, params), 0.3
+    cfg = SimConfig(n_paths=2000, master_seed=7, max_time=horizon, moment_orders=(1, 2, 3))
+    assert estimate_barrier_moments(u, bar, params, cfg) == _pinned(
+        (1.0408548424357176, 0.007685549567374355), (1.2015141473270188, 0.010591933712765126),
+        (1.4101940454357267, 0.013626128497664643), 0.1260767567803889, 63.811700461067815, 1853)
+    # a path censored in the payout set stops at the horizon; one censored
+    # below the line runs on to its claim or to the line
+    _, sigma, censored, _ = simulate._barrier_paths(u, bar, params, horizon, 7, np.arange(2000))
+    assert np.count_nonzero(censored & (sigma == horizon)) == 1718
+    assert np.count_nonzero(censored & (sigma > horizon)) == 135
+
+
+@pytest.mark.parametrize("u, a, b, deltas, max_time, seed, expected", [
+    pytest.param((0.4, 0.6), 0.9, 1.8, None, None, 4, [
+        (0.0, 0.4, 0.6, "start"),
+        (0.1272727272727273, 0.9090909090909092, 0.9818181818181818, "enter_payout"),
+        (0.14205940154418376, 0.3389123529236886, 0.4397343067667284, "claim"),
+        (0.30194494330205524, 0.9784545199551746, 0.9193909320403428, "enter_payout"),
+        (1.28039946325723, 0.0, 1.7999999999999998, "ruin"),
+    ], id="table3"),
+    # descends onto an attracting line, slides, drops below it and returns
+    pytest.param((10.0, 50.0), 0.5, 45.0, (5.0, 4.0), 8.0, 0, [
+        (0.0, 10.0, 50.0, "start"),
+        (0.5092376699805057, 8.825402915195347, 48.82540291519535, "claim"),
+        (4.093440096764919, 4.649228264512976, 44.64922826451297, "claim"),
+        (4.113081148007232, 4.55362511215192, 44.55362511215192, "claim"),
+        (5.3333729268258185, 3.333333333333333, 43.333333333333336, "reach_line_above"),
+        (5.661272376982106, 2.919811936507616, 42.844142832625394, "claim"),
+        (5.800462616806266, 3.476572895804255, 43.26171355209787, "enter_payout"),
+        (8.0, 3.8149632624494445, 43.09251836877528, "censored"),
+    ], id="sliding-above"),
+])
+def test_traces_keep_their_bits(params, u, a, b, deltas, max_time, seed, expected):
+    bar = BarrierSpec(a, b, *deltas) if deltas else BarrierSpec.reflection(a, b, params)
+    assert trace_refracted_path(Reserves(*u), bar, params, seed, max_time) == expected
+
+
 def test_seed_outside_the_key_range_is_rejected():
     # Philox keys are uint64: -1 and 2**64 used to overflow deep inside
     # the stream setup instead of failing as bad input
