@@ -19,6 +19,16 @@ this process over the time of the same two spins run at once, one here
 and one in a forked child (about 2 with a free second core, 1 without);
 the summary holds it per pair.  An existing ``--out`` file keeps the
 workloads this call does not run.
+
+With ``--cold-starts`` the script times only each workload's setup
+command instead (the CLI command whose cold start ``setup_s`` times, as
+the change tree's ``benchmark/workloads.py`` gives it), once per seed on
+each tree, in fresh processes, the tree that runs first alternating from
+seed to seed.  Each run is timed as ``setup_s`` times it: wall seconds
+from process start to exit, scaled to reference seconds by the
+benchmark's reference kernel timed before and after.  Both sides'
+medians and quartiles, of reference and of wall seconds, go to the
+``cold_starts`` entry of ``--out``.
 """
 
 from __future__ import annotations
@@ -33,6 +43,10 @@ from pathlib import Path
 from statistics import median, quantiles
 
 SIDES = ("base", "change")
+
+#: runs ``dividend2d.cli.main`` on ``argv[2:]`` with ``argv[1]`` first on the path
+_CLI = ("import sys; sys.path.insert(0, sys.argv[1]); "
+        "from dividend2d.cli import main; sys.exit(main(sys.argv[2:]))")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -123,6 +137,33 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
             "metrics": metrics, "operations": operations}
 
 
+def cold_starts(trees: dict[str, Path], workload: str, seeds: list[int]) -> dict:
+    """Reference and wall seconds of ``workload``'s setup command on each
+    tree, one fresh process per seed and tree, and the seeds on which the
+    change was faster in reference seconds."""
+    from workloads import WORKLOADS, reference_kernel, speed_factor
+
+    template = WORKLOADS[workload][1]
+    times = {side: {"reference_s": [], "wall_s": []} for side in SIDES}
+    for i, seed in enumerate(seeds):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            before = reference_kernel()
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", _CLI, str(trees[side] / "src"),
+                            *(a.format(seed=seed) for a in template)],
+                           capture_output=True, check=True, timeout=170)
+            wall = time.perf_counter() - start
+            times[side]["wall_s"].append(wall)
+            times[side]["reference_s"].append(wall / speed_factor(before, reference_kernel()))
+        print(f"{workload} seed {seed}: setup " + " -> ".join(
+            f"{times[side]['reference_s'][-1]:.3f}" for side in SIDES) + " s", flush=True)
+    wins = sum(c < b for b, c in zip(*(times[side]["reference_s"] for side in SIDES)))
+    return {"command": " ".join(template), "seeds": seeds, "first": [SIDES[i % 2] for i in range(len(seeds))],
+            **{side: {unit: {**spread(v), "samples": v} for unit, v in times[side].items()}
+               for side in SIDES},
+            "change_wins": wins}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", type=Path, required=True, help="source tree of the parent")
@@ -130,6 +171,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", action="append", required=True, help="repeat for several")
     parser.add_argument("--seeds", required=True, help="for example 401-410 or 401,403")
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--cold-starts", action="store_true",
+                        help="time only each workload's setup command, once per seed and tree")
     args = parser.parse_args(argv)
 
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
@@ -137,6 +180,15 @@ def main(argv: list[str] | None = None) -> int:
     seconds = benchmark["run_seconds"]
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     out = json.loads(args.out.read_text()) if args.out.exists() else {}
+    if args.cold_starts:
+        # the setup commands and the reference kernel, as the change tree runs them
+        sys.path[:0] = [str(trees["change"] / "benchmark"), str(trees["change"] / "src")]
+        entry = out.setdefault("cold_starts", {})
+        for workload in args.workload:
+            entry[workload] = cold_starts(trees, workload, parse_seeds(args.seeds))
+            entry[workload]["trees"] = {side: tree_state(trees[side]) for side in SIDES}
+            args.out.write_text(json.dumps(out, indent=1) + "\n")
+        return 0
     out.update({
         "command": "benchmark/run.py --workload W --seed S --seconds "
                    f"{seconds:g} --trace 0",

@@ -63,6 +63,12 @@ COMMANDS = [
     *((f"simulate-impulse-{n}", ["simulate", "impulse", "--paths", str(n), "--moments", "1,2",
                                  "--seed", "9", "--u1", "3", "--u2", "2", "--cost", "0.5"])
       for n in (1, 100, 25_000)),
+    # short paths at the table-3 barrier, on blocks whose first chunks are
+    # 64, 8 and 1 columns wide
+    *((f"simulate-barrier-table3-{n}", ["simulate", "barrier", "--paths", str(n), "--moments", "1,2",
+                                        "--seed", "9", "--u1", "0.4", "--u2", "0.6", "--a", "0.9",
+                                        "--b", "1.8"])
+      for n in (1, 1024, 16_384)),
 ]
 
 

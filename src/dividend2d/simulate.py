@@ -21,9 +21,11 @@ another; one driver feeds both the same chunks.  Each pass of the barrier
 kernel moves the rows below the line first and then, in the same pass,
 the rows in the payout set with those that reached the line, each row
 under its own drift only (``_barrier_kernel`` says why no row's bits
-depend on which rows share its pass).  A block starts on 8
-columns; paths still running when their columns run out resume on the
-next chunk, drawn for them alone and twice as wide (up to 64 columns).
+depend on which rows share its pass).  A block's first chunk is about
+one fill slice of counters (8,192 paths start on 1 column, 1,024 on 8,
+128 or fewer on 64); paths still running when their columns run out
+resume on the next chunk, drawn for them alone and twice as wide (up to
+64 columns).
 A single path is a block of one, so estimates, single-path calls and
 traces share every operation.  Both kernels drop finished paths from
 their arrays in batches, padded to a multiple of ``_LANES`` rows.
@@ -105,10 +107,8 @@ TRACE_EVENTS = {
     5: "censored",
 }
 
-#: paths per block of either estimator, and the chunk widths in columns:
-#: the first chunk, and the cap of the doubling after it
+#: paths per block of either estimator, and the widest chunk in columns
 _BLOCK = 8192
-_FIRST_COLUMNS = 8
 _MAX_COLUMNS = 64
 
 #: the multiple kernel rows are padded to, and so the running paths below
@@ -116,7 +116,9 @@ _MAX_COLUMNS = 64
 _LANES = 64
 _HANDOFF = _LANES  # a name of its own, so that tests can force either loop
 
-#: counters per slice of a stream fill, so that its arrays stay in cache
+#: counters per slice of a stream fill, so that its arrays stay in cache;
+#: a block's first chunk draws about one slice, as a fill's fixed cost
+#: (some 100 NumPy calls) is worth about that many draws
 _FILL_COUNTERS = 1 << 13
 
 #: blocks an estimate submits to its workers ahead of the block it is
@@ -407,6 +409,10 @@ def _barrier_kernel(
     trajectory slides along it (the chattering limit): payout accrues at
     the fraction of time spent in the payout set that keeps the motion on
     the line.  Reflection is the boundary case of this with fraction 1.
+    Where ``rate_f`` rounds below 0 but the fraction rounds to 1 (table 3's
+    reflection barrier), sliding moves as the payout drift does and the
+    line is taken not to attract: a descent onto it takes over ON_LINE_TOL
+    / |rate_f| (9,000 there) of one wait, and no wait exceeds 53 ln 2 / lam.
 
     ``trace`` (a list, blocks of one path only) receives the event rows
     (t, y1, y2, code) of that path after its start row.
@@ -423,7 +429,8 @@ def _barrier_kernel(
         theta = approach / (approach - rate_f)
         slide = (theta * v1b + (1.0 - theta) * c1, theta * v2b + (1.0 - theta) * c2, theta * d0)
     else:
-        slide = (v1b, v2b, d0)  # never selected: sliding needs rate_f < 0
+        slide = (v1b, v2b, d0)
+    attracts = rate_f < 0.0 and slide != (v1b, v2b, d0)
 
     def note(mask, code, t, y1, y2):
         if trace is not None and np.any(mask):
@@ -483,7 +490,7 @@ def _barrier_kernel(
                 pos = _padded(pos)
                 Y1, Y2, T, A, R = y1[pos], y2[pos], t[pos], D[pos], rem[pos]
                 w1, w2, pay = v1b, v2b, d0
-                if rate_f < 0.0:
+                if attracts:
                     f = Y2 - (b - a * Y1)
                     sliding = f <= tol
                     w1, w2, pay = (np.where(sliding, s, w) for s, w in zip(slide, (v1b, v2b, d0)))
@@ -496,7 +503,7 @@ def _barrier_kernel(
                         earlier = (w < 0.0) & (tt < dt)
                         dt = np.where(earlier, tt, dt)
                         kind[earlier] = -cause  # this company's axis crossing
-                if rate_f < 0.0:
+                if attracts:
                     tt = f / -rate_f  # descends onto the line, then slides
                     earlier = ~sliding & (tt < dt)
                     dt = np.where(earlier, tt, dt)
@@ -506,7 +513,7 @@ def _barrier_kernel(
                 kind[late] = 3
                 A = A + pay * (np.exp(-q * T) - np.exp(-q * (T + dt))) / q
                 Y1, Y2 = Y1 + w1 * dt, Y2 + w2 * dt
-                if rate_f < 0.0:
+                if attracts:
                     Y2 = np.where(kind == 2, b - a * Y1, Y2)
                 T, R = T + dt, R - dt
                 y1[pos], y2[pos], t[pos], D[pos], rem[pos] = Y1, Y2, T, A, R
@@ -539,9 +546,10 @@ def _barrier_kernel(
 def _run_chunks(kernel, block: _Block, params: ModelParams, master_seed: int,
                 paths: np.ndarray) -> _Results:
     """Per-path results of ``block``, the block of paths ``paths``, run by
-    ``kernel(ts, xs, block)`` on chunks drawn for its running paths alone:
-    ``_FIRST_COLUMNS`` wide, then twice as wide each time, up to ``_MAX_COLUMNS``."""
-    width = _FIRST_COLUMNS
+    ``kernel(ts, xs, block)`` on chunks drawn for its running paths alone,
+    the first ``_FILL_COUNTERS // len(paths)`` wide (1 to ``_MAX_COLUMNS``),
+    then twice as wide each time, up to ``_MAX_COLUMNS``."""
+    width = min(max(_FILL_COUNTERS // paths.size, 1), _MAX_COLUMNS)
     while block.live.size:
         ts, xs = np.empty((block.live.size, width)), np.empty((block.live.size, width))
         _fill_streams(master_seed, paths[block.live], params, ts, xs, block.columns)

@@ -435,6 +435,44 @@ def test_estimates_do_not_depend_on_the_block_size(params, barrier, monkeypatch)
     assert blocks == [3, 3]  # the impulse paths too ran in three blocks
 
 
+def _fills(monkeypatch) -> list[tuple[int, int]]:
+    """The (rows, columns) of every stream fill from now on."""
+    fills, fill = [], simulate._fill_streams
+
+    def counted(master_seed, paths, params, ts, xs, start=0):
+        fills.append(ts.shape)
+        fill(master_seed, paths, params, ts, xs, start)
+
+    monkeypatch.setattr(simulate, "_fill_streams", counted)
+    return fills
+
+
+@pytest.mark.parametrize("n, first", [(8192, 1), (1024, 8), (128, 64), (1, 64)])
+def test_a_blocks_first_chunk_draws_about_one_fill_slice(params, barrier, monkeypatch, n, first):
+    # at the table-1 argmax a path reads about 25 columns, so every block
+    # runs on chunks that double from the first up to _MAX_COLUMNS
+    fills = _fills(monkeypatch)
+    horizon = default_max_time(params, barrier.delta0)
+    simulate._barrier_paths(Reserves(1.0, 2.0), barrier, params, horizon, 3, np.arange(n))
+    widths = [columns for _, columns in fills]
+    assert widths[0] == first
+    assert widths[1:] == [min(first << k, _MAX_COLUMNS) for k in range(1, len(widths))]
+    assert fills[0][0] == n and widths[-1] == _MAX_COLUMNS
+
+
+def test_a_short_path_block_draws_under_two_columns_a_path(params, monkeypatch):
+    """At the table-3 barrier from (0.4, 0.6) one block of 8,192 paths
+    (seed 2024) draws 31,092 waits and claims, 1.90 columns a path, on
+    chunks of 1, 2 and 4 columns.  A fixed first chunk of 8 columns drew
+    131,072, of which about 80% went unread."""
+    fills = _fills(monkeypatch)
+    bar = BarrierSpec.reflection(0.9, 1.8, params)
+    horizon = default_max_time(params, bar.delta0)
+    simulate._barrier_paths(Reserves(0.4, 0.6), bar, params, horizon, 2024, np.arange(8192))
+    assert [columns for _, columns in fills] == [1, 2, 4]
+    assert sum(2 * rows * columns for rows, columns in fills) == 31_092
+
+
 def test_trace_structure(params, barrier):
     rows = trace_refracted_path(Reserves(1.0, 2.0), barrier, params, seed=5)
     events = [ev for *_, ev in rows]
@@ -518,6 +556,17 @@ def test_short_horizon_censors_below_the_line_and_in_the_payout_set(params):
         (0.30194494330205524, 0.9784545199551746, 0.9193909320403428, "enter_payout"),
         (1.28039946325723, 0.0, 1.7999999999999998, "ruin"),
     ], id="table3"),
+    # table 3's rate_f rounds to -1.1e-16, yet the line does not attract:
+    # the path moves in the payout set, below the line, and back onto it
+    pytest.param((3.0, 2.0), 0.9, 1.8, None, None, 6, [
+        (0.0, 3.0, 2.0, "start"),
+        (0.2784865077407188, 2.5840245534508886, 2.113148918158254, "claim"),
+        (0.3571672543123278, 2.4189995792526346, 2.0976173624460572, "claim"),
+        (0.377543359490526, 1.695456961214549, 1.4127893442465482, "claim"),
+        (1.334407036052739, 0.0006466388464474448, 1.5360200073466512, "claim"),
+        (1.374315826612064, 0.16028180108374807, 1.6557463790246267, "enter_payout"),
+        (1.5345976276958122, 0.0, 1.8, "ruin"),
+    ], id="table3-from-the-payout-set"),
     # descends onto an attracting line, slides, drops below it and returns
     pytest.param((10.0, 50.0), 0.5, 45.0, (5.0, 4.0), 8.0, 0, [
         (0.0, 10.0, 50.0, "start"),
