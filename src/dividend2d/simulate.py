@@ -117,8 +117,8 @@ _LANES = 64
 _HANDOFF = _LANES  # a name of its own, so that tests can force either loop
 
 #: counters per slice of a stream fill, so that its arrays stay in cache;
-#: a block's first chunk draws about one slice, as a fill's fixed cost
-#: (some 100 NumPy calls) is worth about that many draws
+#: a block's first chunk is about one slice, enough that a fill's fixed
+#: cost (some 100 NumPy calls) is small beside its draws
 _FILL_COUNTERS = 1 << 13
 
 #: blocks an estimate submits to its workers ahead of the block it is
@@ -424,13 +424,12 @@ def _barrier_kernel(
     v2b = c2 - barrier.delta2
     rate_f = v2b + a * v1b  # growth of y2 - (b - a*y1) inside the payout set
     approach = c2 + a * c1  # the same growth below the set; always positive
+    slide = (v1b, v2b, d0)
     if rate_f < 0.0:
         # Filippov fraction keeping the f-velocity at zero while sliding
         theta = approach / (approach - rate_f)
         slide = (theta * v1b + (1.0 - theta) * c1, theta * v2b + (1.0 - theta) * c2, theta * d0)
-    else:
-        slide = (v1b, v2b, d0)
-    attracts = rate_f < 0.0 and slide != (v1b, v2b, d0)
+    attracts = slide != (v1b, v2b, d0)
 
     def note(mask, code, t, y1, y2):
         if trace is not None and np.any(mask):

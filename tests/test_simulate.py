@@ -462,9 +462,10 @@ def test_a_blocks_first_chunk_draws_about_one_fill_slice(params, barrier, monkey
 
 def test_a_short_path_block_draws_under_two_columns_a_path(params, monkeypatch):
     """At the table-3 barrier from (0.4, 0.6) one block of 8,192 paths
-    (seed 2024) draws 31,092 waits and claims, 1.90 columns a path, on
-    chunks of 1, 2 and 4 columns.  A fixed first chunk of 8 columns drew
-    131,072, of which about 80% went unread."""
+    (seed 2024) fills 15,546 columns, on chunks of 1, 2 and 4 columns:
+    31,092 draws (a wait and a claim each), 1.90 columns a path.  A fixed
+    first chunk of 8 columns, which no path outlives, drew 131,072, 8
+    columns a path."""
     fills = _fills(monkeypatch)
     bar = BarrierSpec.reflection(0.9, 1.8, params)
     horizon = default_max_time(params, bar.delta0)
