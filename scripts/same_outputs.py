@@ -59,6 +59,11 @@ COMMANDS = [
                           "--cost", "0.5"]),
     ("simulate-impulse-below", ["simulate", "impulse", *_SIM, "--seed", "9", "--u1", "1",
                                 "--u2", "2", "--cost", "0.5"]),
+    # lumps below 0, and other claims from below the diagonal
+    ("simulate-impulse-cost50", ["simulate", "impulse", *_SIM, "--seed", "9", "--u1", "3",
+                                 "--u2", "2", "--cost", "50"]),
+    ("simulate-impulse-alpha0.6", ["simulate", "impulse", *_SIM, "--seed", "9", "--u1", "1",
+                                   "--u2", "2", "--cost", "0.5", "--alpha", "0.6"]),
     # a single path, a block of 100 paths, and an estimate of four blocks
     *((f"simulate-impulse-{n}", ["simulate", "impulse", "--paths", str(n), "--moments", "1,2",
                                  "--seed", "9", "--u1", "3", "--u2", "2", "--cost", "0.5"])

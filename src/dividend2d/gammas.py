@@ -170,7 +170,8 @@ def _step(
     quadratic in ``g2`` whose roots are the previous g2 and the next one;
     the larger root is the next.  Either way g1 is a root of the pair
     quadratic by construction, and g3 is its companion from the product
-    of roots.
+    of roots.  A step with g1 = 0 or a value that is not finite fails
+    with ``NonConvergenceError``, as a g2 that does not grow does.
     """
     if prev is None:
         g2 = _larger_root(*_seed_coeffs(slope, params))
@@ -188,7 +189,10 @@ def _step(
             raise NonConvergenceError(f"g2 recursion not increasing: {g2} after {p2}")
         g1 = s + a * g2
     A, _, C = _sqeq_coeffs(g2, params)
-    return g1, g2, C / (A * g1)
+    g3 = C / (A * g1) if g1 else math.nan
+    if not math.isfinite(g1 + g2 + g3):  # finite only if each is: inf - inf is nan
+        raise NonConvergenceError(f"exponent step not finite: (g1, g2, g3) = ({g1}, {g2}, {g3})")
+    return g1, g2, g3
 
 
 class _Slope:
@@ -299,6 +303,14 @@ def build_sequences(
     term in both sums is below ``tail_tol`` relative to the running
     totals, but never before ``min_terms``.  E then zeroes the value at
     (0, b) by construction, up to the shared truncation.
+
+    A value of the series is a difference of the base terms and E times
+    the primed terms, which can cancel far below their size.  So the
+    rounding bound of the corner sums over the kept terms, ``2**-52 *
+    (sum |base| + |E| sum |primed|)``, must stay within ``1e-6 * delta0 /
+    (lam + q)``, a millionth of the value's scale (a relative test would
+    fail at the corner, whose value is 0); otherwise, as when the array
+    pass overflows, ``NonConvergenceError`` is raised.
     """
     require_exponential(params.claims)
     if not barrier.is_reflection(params):
@@ -314,16 +326,20 @@ def build_sequences(
     while True:
         if slope.n < need:
             slope.grow(need, tail_tol, max_terms)
+        if not slope.n:  # the seed step failed
+            raise NonConvergenceError(slope.error)
         data = slope.data
         n = min(data.shape[2], max_terms)
         factors = data[3, :, :n].copy()
         g1_0, g2_0 = float(data[0, 0, 0]), float(data[1, 0, 0])
         factors[0, 0] = barrier.delta0 / (g1_0 * (params.c1 + 1.0) + g2_0 * (params.c2 - a))
         factors[1, 0] = _primed_seed(float(data[1, 1, 0]), b)
-        scaled = factors.cumprod(axis=1)
-        terms = scaled * data[4, :, :n] / data[5, :, :n]
-        sums = terms.cumsum(axis=1)
-        ratio = np.abs(terms) / np.maximum(np.abs(sums), 1e-300)
+        with np.errstate(all="ignore"):  # an overflow fails the checks below
+            scaled = factors.cumprod(axis=1)
+            terms = scaled * data[4, :, :n] / data[5, :, :n]
+            sums = terms.cumsum(axis=1)
+            size = np.abs(terms)
+            ratio = size / np.maximum(np.abs(sums), 1e-300)
         tail = np.where(ratio[1] > ratio[0], ratio[1], ratio[0])  # max(), first on ties
         hits = (tail[min_terms - 1 :] < tail_tol).nonzero()[0]
         if hits.size:
@@ -336,6 +352,16 @@ def build_sequences(
         if slope.error is not None:
             raise NonConvergenceError(slope.error)
         need = n + 1
+    corner, corner_primed = sums[:, k].tolist()
+    E = -corner / corner_primed if corner_primed else math.nan
+    size_base, size_primed = size[:, : k + 1].sum(axis=1).tolist()
+    rounding = 2.0**-52 * (size_base + abs(E) * size_primed)
+    scale = barrier.delta0 / (params.lam + params.q)
+    if not rounding <= 1e-6 * scale:
+        raise NonConvergenceError(
+            f"series cancels below its rounding: bound {rounding:.3g} against delta0/(lam+q)"
+            f" = {scale:.6g} over {k + 1} terms"
+        )
     g1, g2, g3 = data[:3, :, : k + 1].copy()  # apart from the slope's arrays
     d_scaled = scaled[:, : k + 1].copy()
     for field in (g1, g2, g3, d_scaled):
@@ -345,7 +371,7 @@ def build_sequences(
         g2=g2,
         g3=g3,
         D_scaled=d_scaled,
-        E=float(-sums[0, k] / sums[1, k]),
+        E=E,
         a_prime=slope.a_prime,
         a=a,
         b=b,

@@ -17,6 +17,7 @@ from .barrier import AnalyticDomainError, v1_barrier
 from .model import (
     BarrierSpec,
     ModelParams,
+    NonConvergenceError,
     ParameterError,
     Reserves,
     UnsupportedDistributionError,
@@ -55,7 +56,8 @@ def _evaluate_cell(u: Reserves, a: float, b: float, params: ModelParams) -> Swee
         barrier = BarrierSpec.reflection(a, b, params)
         val = v1_barrier(u, barrier, params)
         return SweepCell(a, b, u.u1, u.u2, val.value, val.terms_used, val.tail_estimate)
-    except (ParameterError, AnalyticDomainError, UnsupportedDistributionError) as exc:
+    except (ParameterError, AnalyticDomainError, NonConvergenceError,
+            UnsupportedDistributionError) as exc:
         return SweepCell(a, b, u.u1, u.u2, None, 0, math.nan, error=str(exc))
 
 

@@ -28,7 +28,13 @@ resume on the next chunk, drawn for them alone and twice as wide (up to
 64 columns).
 A single path is a block of one, so estimates, single-path calls and
 traces share every operation.  Both kernels drop finished paths from
-their arrays in batches, padded to a multiple of ``_LANES`` rows.
+their arrays in batches, padded to a multiple of ``_LANES`` rows.  The
+driver fills at most ``_MAX_PATH_COLUMNS`` columns a path and censors the
+paths still running then, with their payout and time so far: the one
+guard against a path that never ends.  Barrier paths ruin or reach their
+horizon long before it.  Impulse paths have no horizon: every cycle
+restarts at ``(u1, u2)``, so a path runs cycles, uncounted, until one
+ends in ruin, and only the cap censors it.
 
 In lockstep each impulse path consumes one column per step, to start a
 cycle or for one step of its recovery race: the column's wait, and its
@@ -107,9 +113,11 @@ TRACE_EVENTS = {
     5: "censored",
 }
 
-#: paths per block of either estimator, and the widest chunk in columns
+#: paths per block of either estimator, the widest chunk in columns, and
+#: the columns a path may read before it is censored
 _BLOCK = 8192
 _MAX_COLUMNS = 64
+_MAX_PATH_COLUMNS = 1 << 20
 
 #: the multiple kernel rows are padded to, and so the running paths below
 #: which an impulse block leaves lockstep, whose steps cost as much on fewer
@@ -547,14 +555,19 @@ def _run_chunks(kernel, block: _Block, params: ModelParams, master_seed: int,
     """Per-path results of ``block``, the block of paths ``paths``, run by
     ``kernel(ts, xs, block)`` on chunks drawn for its running paths alone,
     the first ``_FILL_COUNTERS // len(paths)`` wide (1 to ``_MAX_COLUMNS``),
-    then twice as wide each time, up to ``_MAX_COLUMNS``."""
+    then twice as wide each time, up to ``_MAX_COLUMNS``.  The last chunk
+    ends at column ``_MAX_PATH_COLUMNS``, after which the paths still
+    running are censored with their payout and time so far."""
     width = min(max(_FILL_COUNTERS // paths.size, 1), _MAX_COLUMNS)
-    while block.live.size:
+    while block.live.size and block.columns < _MAX_PATH_COLUMNS:
+        width = min(width, _MAX_PATH_COLUMNS - block.columns)
         ts, xs = np.empty((block.live.size, width)), np.empty((block.live.size, width))
         _fill_streams(master_seed, paths[block.live], params, ts, xs, block.columns)
         block = kernel(ts, xs, block)
         block.columns += width
         width = min(2 * width, _MAX_COLUMNS)
+    live = block.live
+    block.D[live], block.sigma[live], block.status[live] = block.paid, block.t, _CENSORED
     return block.results()
 
 
@@ -578,33 +591,33 @@ def _barrier_paths(
     return _run_chunks(kernel, _BarrierBlock(u, paths.size), params, master_seed, paths)
 
 
-def _impulse_loop(u1, u2, K, c1, c2, q, max_cycles, ts, xs, D=0.0, t=0.0, cycle=0, race=None):
-    """Renewal loop for one impulse path, resumed at cycle ``cycle``, time
-    ``t`` and payout ``D`` so far, and inside that cycle's recovery race
-    when ``race`` holds its ``(z, s)``.
+def _impulse_loop(u1, u2, K, c1, c2, q, ts, xs, D=0.0, t=0.0, race=None):
+    """Renewal loop for one impulse path, resumed at time ``t`` and payout
+    ``D`` so far, and inside a cycle's recovery race when ``race`` holds
+    its ``(z, s)``.
 
     Column ``j`` of ``ts``/``xs`` holds the ``j``-th waiting time the path
     consumes (a cycle's opening wait or one inter-claim gap of its
     recovery race) and the claim that ends it.  A race wait in which
     company 2 reaches ``u2`` leaves its claim unread, and the next cycle,
     its wait being memoryless, starts on the next column.  Returns (D,
-    sigma, status, cycles, cause, race).  When the columns run out the
-    status is ``_NEED_MORE``: the path has read every one of them, and it
-    resumes from the returned D, sigma (as ``t``), cycles and race on the
-    next columns.  The loop runs on Python floats, with ``ts`` and ``xs``
-    lists or memoryviews: indexing either is cheaper than indexing an
-    array.  Discount factors come from ``np.exp``, as in the lockstep loop
-    of ``_impulse_kernel``, and every other operation is the same as
-    there, so the two loops give the same bits.
+    sigma, cause, race).  A cause of 0 means the columns ran out: the path
+    has read every one of them, and it resumes from the returned D, sigma
+    (as ``t``) and race on the next columns.  The loop runs on Python
+    floats, with ``ts`` and ``xs`` lists or memoryviews: indexing either
+    is cheaper than indexing an array.  Discount factors come from
+    ``np.exp``, as in the lockstep loop of ``_impulse_kernel``, and every
+    other operation is the same as there, so the two loops give the same
+    bits.
     """
     mn = u1 if u1 < u2 else u2
     gap = u2 - u1
     it, nt = 0, len(ts)
     e = np.exp(-q * t)  # the discount factor at t
-    for cycle in range(cycle, max_cycles):
+    while True:
         if race is None:
             if it >= nt:
-                return D, t, _NEED_MORE, cycle, 0, None
+                return D, t, 0, None
             t += ts[it]
             x = xs[it]
             it += 1
@@ -612,8 +625,7 @@ def _impulse_loop(u1, u2, K, c1, c2, q, max_cycles, ts, xs, D=0.0, t=0.0, cycle=
             D += c1 * (e - e_new) / q
             e = e_new
             if x > mn:
-                cause = _RUIN_C1 if x > u1 else _RUIN_C2
-                return D, t, _DONE, cycle + 1, cause, None
+                return D, t, _RUIN_C1 if x > u1 else _RUIN_C2, None
             # company 2 recovers from z = u2 - x back to u2; company 1,
             # at z - (gap - (c1 - c2) s), races the declining boundary
             # max(0, gap - (c1 - c2) s)
@@ -622,7 +634,7 @@ def _impulse_loop(u1, u2, K, c1, c2, q, max_cycles, ts, xs, D=0.0, t=0.0, cycle=
             (z, s), race = race, None
         while True:
             if it >= nt:
-                return D, t, _NEED_MORE, cycle, 0, (z, s)
+                return D, t, 0, (z, s)
             t_reach = (u2 - z) / c2
             w2 = ts[it]
             it += 1
@@ -637,18 +649,15 @@ def _impulse_loop(u1, u2, K, c1, c2, q, max_cycles, ts, xs, D=0.0, t=0.0, cycle=
             z -= xs[it - 1]
             edge = gap - (c1 - c2) * s
             if z < (edge if edge > 0.0 else 0.0):
-                cause = _RUIN_C1 if z < edge else _RUIN_C2
-                return D, t + s, _DONE, cycle + 1, cause, None
-    return D, t, _CENSORED, max_cycles, 0, None
+                return D, t + s, _RUIN_C1 if z < edge else _RUIN_C2, None
 
 
 class _ImpulseBlock(_Block):
-    """A block of impulse paths, with the cycle state of the paths still
+    """A block of impulse paths, with the race state of the paths still
     running, each of which has consumed ``columns`` columns."""
 
     def __init__(self, n: int):
         super().__init__(n)
-        self.cycle = np.zeros(n, dtype=np.int64)  # completed cycles
         self.z = np.zeros(n)  # company 2's reserve in the recovery race
         self.s = np.zeros(n)  # time since the race began
         self.racing = np.zeros(n, dtype=bool)
@@ -657,7 +666,6 @@ class _ImpulseBlock(_Block):
 def _impulse_kernel(
     spec: ImpulseSpec,
     params: ModelParams,
-    max_cycles: int,
     ts: np.ndarray,
     xs: np.ndarray,
     block: _ImpulseBlock,
@@ -666,8 +674,9 @@ def _impulse_kernel(
 
     Row ``j`` of ``ts``/``xs`` holds the next waiting times and claim sizes
     of the block's ``j``-th running path.  Returns the block: paths that
-    ruin or complete ``max_cycles`` cycles get their D, sigma, status and
-    ruin cause; the others stay running.
+    ruin get their D, sigma (``t + s`` of the cycle that ruins), status
+    ``_DONE`` and ruin cause; the others stay running.  Neither loop
+    censors: that is the chunk driver's part.
 
     In lockstep each path consumes one column per step, to start a cycle
     or for one step of its recovery race, as ``_impulse_loop`` does;
@@ -682,7 +691,7 @@ def _impulse_kernel(
     """
     u1, u2, K = spec.u1, spec.u2, spec.K
     c1, c2, q = params.c1, params.c2, params.q
-    live, D, t, cycle = block.live, block.paid, block.t, block.cycle
+    live, D, t = block.live, block.paid, block.t
     z, s, racing = block.z, block.s, block.racing
     rows = np.arange(live.size)
     k = 0
@@ -691,14 +700,12 @@ def _impulse_kernel(
         alive = np.ones(live.size, dtype=bool)
         running, finished = live.size, 0  # finished: since the last compaction
         e = np.exp(-q * t)
-        # a path completes at most one cycle per column
-        capped = block.columns + ts.shape[1] >= max_cycles
         while True:
             end = k == ts.shape[1] or running < max(_HANDOFF, 1)
             keep = _rows_to_keep(alive, finished, end)
             if keep is not None:
-                live, rows, D, t, e, cycle, z, s, racing = (
-                    a[keep] for a in (live, rows, D, t, e, cycle, z, s, racing)
+                live, rows, D, t, e, z, s, racing = (
+                    a[keep] for a in (live, rows, D, t, e, z, s, racing)
                 )
                 alive, finished = np.arange(keep.size) < running, 0
             if end:
@@ -714,17 +721,15 @@ def _impulse_kernel(
             z = np.where(racing, z + c2 * w, u2) - x
             s = np.where(racing, s + w, 0.0)
             edge = gap - dc * s
-            ruined = np.where(racing, ~reach & (z < np.maximum(edge, 0.0)), x > mn)
-            cycle = cycle + reach
-            done = (ruined | (reach & (cycle == max_cycles)) if capped else ruined) & alive
-            if done.any():
-                fin = np.flatnonzero(done)
-                idx, ruin = live[fin], ruined[fin]
+            ruined = np.where(racing, ~reach & (z < np.maximum(edge, 0.0)), x > mn) & alive
+            if ruined.any():
+                fin = np.flatnonzero(ruined)
+                idx = live[fin]
                 first = np.where(racing[fin], z[fin] < edge[fin], x[fin] > u1)
                 block.D[idx] = D[fin]
-                block.sigma[idx] = np.where(ruin, t[fin] + s[fin], t[fin])
-                block.status[idx] = np.where(ruin, _DONE, _CENSORED)
-                block.cause[idx] = np.where(ruin, np.where(first, _RUIN_C1, _RUIN_C2), 0)
+                block.sigma[idx] = t[fin] + s[fin]
+                block.status[idx] = _DONE
+                block.cause[idx] = np.where(first, _RUIN_C1, _RUIN_C2)
                 alive[fin] = False
                 running -= fin.size
                 finished += fin.size
@@ -732,34 +737,31 @@ def _impulse_kernel(
             k += 1
     if live.size < _HANDOFF:
         # the stragglers, from column k on, in the scalar loop
-        args = (u1, u2, K, c1, c2, q, max_cycles)
-        state = zip(rows.tolist(), D.tolist(), t.tolist(), cycle.tolist(), z.tolist(),
-                    s.tolist(), racing.tolist())
-        for j, (r, D_j, t_j, cycle_j, z_j, s_j, racing_j) in enumerate(state):
-            D_j, t_j, status, cycle_j, cause, race = _impulse_loop(
+        args = (u1, u2, K, c1, c2, q)
+        state = zip(rows.tolist(), D.tolist(), t.tolist(), z.tolist(), s.tolist(), racing.tolist())
+        for j, (r, D_j, t_j, z_j, s_j, racing_j) in enumerate(state):
+            D_j, t_j, cause, race = _impulse_loop(
                 *args, memoryview(ts[r, k:]), memoryview(xs[r, k:]),
-                D_j, t_j, cycle_j, (z_j, s_j) if racing_j else None,
+                D_j, t_j, (z_j, s_j) if racing_j else None,
             )
-            if status == _NEED_MORE:
-                D[j], t[j], cycle[j], racing[j] = D_j, t_j, cycle_j, race is not None
+            if cause:
+                p = live[j]
+                block.D[p], block.sigma[p], block.status[p], block.cause[p] = D_j, t_j, _DONE, cause
+            else:
+                D[j], t[j], racing[j] = D_j, t_j, race is not None
                 if race is not None:
                     z[j], s[j] = race
-            else:
-                p = live[j]
-                block.D[p], block.sigma[p], block.status[p], block.cause[p] = D_j, t_j, status, cause
         keep = np.flatnonzero(block.status[live] == _NEED_MORE)
-        live, D, t, cycle, z, s, racing = (a[keep] for a in (live, D, t, cycle, z, s, racing))
-    block.live, block.paid, block.t, block.cycle, block.z, block.s, block.racing = (
-        live, D, t, cycle, z, s, racing
-    )
+        live, D, t, z, s, racing = (a[keep] for a in (live, D, t, z, s, racing))
+    block.live, block.paid, block.t, block.z, block.s, block.racing = live, D, t, z, s, racing
     return block
 
 
 def _impulse_paths(
-    spec: ImpulseSpec, params: ModelParams, master_seed: int, paths: np.ndarray, max_cycles: int
+    spec: ImpulseSpec, params: ModelParams, master_seed: int, paths: np.ndarray
 ) -> _Results:
     """Per-path (D, sigma, censored, cause) arrays of impulse paths, run as
-    one block until each ruins or completes ``max_cycles`` cycles.
+    one block until each ruins or has read ``_MAX_PATH_COLUMNS`` columns.
 
     Each path consumes one column of its stream per wait, a wait and its
     claim, as a barrier path does.  An estimate's blocks hold at most
@@ -768,9 +770,7 @@ def _impulse_paths(
     runs in lockstep while at least ``_HANDOFF = _LANES`` of its paths
     run: a lockstep step on fewer is padded to ``_LANES`` rows anyway.
     """
-    if max_cycles < 1:
-        raise ValueError(f"max_cycles >= 1 required, got {max_cycles}")
-    kernel = partial(_impulse_kernel, spec, params, max_cycles)
+    kernel = partial(_impulse_kernel, spec, params)
     return _run_chunks(kernel, _ImpulseBlock(paths.size), params, master_seed, paths)
 
 
@@ -797,7 +797,9 @@ def simulate_refracted_path(
     """One controlled path, run as a block of one: discounted dividends and
     the ruin time.
 
-    ``sigma`` is the censoring horizon when the path is censored.
+    ``sigma`` is the censoring horizon when the path is censored there,
+    and its time so far when it is censored after ``_MAX_PATH_COLUMNS``
+    columns.
     """
     max_time = _barrier_horizon(u, barrier, params, max_time)
     return _first_path(
@@ -823,12 +825,11 @@ def simulate_impulse_path(
     spec: ImpulseSpec,
     params: ModelParams,
     rng: PathStream,
-    max_cycles: int = 1_000_000,
 ) -> PathResult:
-    """One impulse-controlled path; censoring = max_cycles exhausted."""
-    return _first_path(
-        _impulse_paths(spec, params, rng.master_seed, np.array([rng.index]), max_cycles)
-    )
+    """One impulse-controlled path, run as a block of one until it ruins;
+    censored (``sigma`` the time so far) if it has not after
+    ``_MAX_PATH_COLUMNS`` columns."""
+    return _first_path(_impulse_paths(spec, params, rng.master_seed, np.array([rng.index])))
 
 
 def _add_in_order(total: float, terms: np.ndarray) -> float:
@@ -999,12 +1000,14 @@ def estimate_impulse_moments(
     """Moments of D for the impulse control.
 
     The bias bound uses c1/q: every payout stream is dominated by paying
-    the larger premium forever.  Paths are censored after a million
-    cycles, not at a time horizon, so ``cfg.max_time`` must be None.
+    the larger premium forever.  A path runs until it ruins, censored only
+    once it has read ``_MAX_PATH_COLUMNS`` columns, not at a time horizon,
+    so ``cfg.max_time`` must be None.
     """
     if cfg.max_time is not None:
         raise ValueError(
-            f"impulse paths are censored by cycle count; max_time must be None, got {cfg.max_time}"
+            "impulse paths are censored only by their column count; max_time must be None,"
+            f" got {cfg.max_time}"
         )
-    work = partial(_impulse_paths, spec, params, cfg.master_seed, max_cycles=1_000_000)
+    work = partial(_impulse_paths, spec, params, cfg.master_seed)
     return _estimate(work, cfg, params.c1, params)

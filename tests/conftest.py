@@ -7,6 +7,7 @@ dynamics.  Expected values frozen into tests were produced with these.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -106,3 +107,49 @@ def impulse_cycle_mc(spec, params: ModelParams, n_cycles: int, seed: int):
             if z < max(0.0, gap - slope * s):
                 break
     return disc, tauw
+
+
+def impulse_path_mc(spec, params: ModelParams, n_paths: int, seed: int) -> list[float]:
+    """Direct simulation of whole impulse paths, one cycle after another
+    until one ends in ruin; returns each path's discounted payout D.
+
+    Plain Python on ``random.Random``: it shares neither the library's
+    streams nor its event code, and it does not use ``V1 = A/(1-p)``.
+    In each cycle company 1 pays out its premium c1 until the first
+    claim; a claim above min(u1, u2) ruins, and otherwise company 2
+    climbs back from u2 - x at rate c2 while claims keep arriving.  If it
+    reaches u2 after tau, company 1 pays the lump (c1 - c2) tau - K then
+    and the next cycle starts; it ruins first if a claim takes company 2
+    below 0 or company 1 below 0, that is company 2 below gap - (c1 - c2) s.
+    """
+    rng = random.Random(seed)
+    lam, q, c1, c2 = params.lam, params.q, params.c1, params.c2
+    alpha = params.claims.rate
+    mn = min(spec.u1, spec.u2)
+    gap = spec.u2 - spec.u1
+    out = []
+    for _ in range(n_paths):
+        D = t = 0.0
+        ruined = False
+        while not ruined:
+            e = rng.expovariate(lam)
+            D += c1 * (math.exp(-q * t) - math.exp(-q * (t + e))) / q
+            t += e
+            x = rng.expovariate(alpha)
+            if x > mn:
+                break
+            z, s = spec.u2 - x, 0.0
+            while True:
+                w = rng.expovariate(lam)
+                if (spec.u2 - z) / c2 < w:
+                    tau = s + (spec.u2 - z) / c2
+                    t += tau
+                    D += ((c1 - c2) * tau - spec.K) * math.exp(-q * t)
+                    break
+                s += w
+                z += c2 * w - rng.expovariate(alpha)
+                if z < max(0.0, gap - (c1 - c2) * s):
+                    ruined = True
+                    break
+        out.append(D)
+    return out

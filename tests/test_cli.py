@@ -268,6 +268,51 @@ def test_nonconvergence_exit_code(capsys, monkeypatch):
     assert "numerical error" in out
 
 
+_SPOILED_SERIES = {
+    # the base and E-primed terms cancel far below their own size: the
+    # series printed V1 = 72 (MC 141.37 +- 0.19) ...
+    "tiny-q": ["value-barrier", "--u1", "1", "--u2", "2", "--a", "0.1", "--b", "14", "--q", "1e-16"],
+    # ... and V1 = -2.386730506e+15 (MC 112.76 +- 0.62), both with exit 0
+    "far-model": ["value-barrier", "--c1", "525.7938936470465", "--c2", "150.21641505453914",
+                  "--lambda", "4.814834731745594", "--alpha", "0.1323687254030964",
+                  "--q", "0.4241826641697047", "--u1", "0.512035599918279",
+                  "--u2", "1.7727739918402179", "--a", "78.13247667332638",
+                  "--b", "43.693595689824704"],
+    # the exponent steps overflowed with RuntimeWarnings ...
+    "c1-1e10": ["value-barrier", "--u1", "1", "--u2", "2", "--a", "0.1", "--b", "14", "--c1", "1e10"],
+    # ... or reached g1 = 0 and died with a ZeroDivisionError, exit 1, in
+    # a later step or in the seed step itself
+    "c1-1e100": ["value-barrier", "--u1", "1", "--u2", "2", "--a", "0.1", "--b", "14",
+                 "--c1", "1e100"],
+    "c1-1e200": ["value-barrier", "--u1", "1", "--u2", "2", "--a", "0.1", "--b", "14",
+                 "--c1", "1e200"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_SPOILED_SERIES.values()), ids=list(_SPOILED_SERIES))
+def test_a_series_spoiled_by_rounding_or_overflow_is_a_numerical_error(capsys, argv):
+    # Tier-1 turns a RuntimeWarning into an error, so none may be raised
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out.startswith("numerical error: ") and out.count("\n") == 1
+    assert err == ""
+
+
+def test_optimize_keeps_cells_whose_series_overflows(tmp_path, capsys):
+    # at c1 = 1e10 every cell's exponent steps overflow; the sweep used to
+    # stop at the first with exit 3 and no CSV
+    out_file = tmp_path / "sweep.csv"
+    rc, out = run(capsys, ["optimize", "--u1", "1", "--u2", "2", "--a-grid", "0.1,0.2",
+                           "--b-grid", "14", "--c1", "1e10", "--out", str(out_file)])
+    assert rc == 2
+    assert out.startswith("wrote ") and "no valid cell in the grid; first cell a=0.1 b=14.0: " in out
+    with open(out_file, newline="") as fh:
+        header, *cells = csv.reader(fh)
+    assert [cell[:2] for cell in cells] == [["0.1", "14.0"], ["0.2", "14.0"]]
+    assert all(cell[-1].startswith("exponent step not finite") for cell in cells)
+
+
 def test_simulate_seed_out_of_range_is_bad_input(capsys):
     for seed in ("-1", "18446744073709551616"):
         rc, out = run(capsys, ["simulate", "impulse", "--paths", "10", "--seed", seed,

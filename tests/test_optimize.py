@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from dividend2d import (
     BarrierSpec,
+    ExponentialClaims,
+    ModelParams,
     Reserves,
     build_sequences,
     refine_barrier,
@@ -83,3 +87,17 @@ def test_optimum_depends_on_reserves(params):
     r12 = refine_barrier(Reserves(1.0, 2.0), params, (0.05, 1.0), (6.0, 28.0), budget=120)
     r23 = refine_barrier(Reserves(2.0, 3.0), params, (0.05, 1.0), (6.0, 28.0), budget=120)
     assert (r12.a, r12.b, r12.v1) != (r23.a, r23.b, r23.v1)
+
+
+def test_a_cell_whose_series_does_not_converge_is_recorded_and_skipped():
+    # at c1 = 2e8 the corner sums of slope 1 are not converged in 200
+    # terms; the NonConvergenceError used to abort the whole sweep
+    params = ModelParams(c1=2e8, c2=3.0, lam=1.0, claims=ExponentialClaims(rate=2.0), q=0.1)
+    u = Reserves(1.0, 2.0)
+    res = sweep_barrier(u, [0.1, 1.0], [14.0], params)
+    good, bad = res.grid
+    assert good.error is None and res.argmax == (0.1, 14.0) and res.argmax_value == good.v1
+    assert bad.v1 is None and bad.error.startswith("corner sums not converged in 200 terms")
+    # refinement sees such a cell as -inf and keeps to the others
+    ref = refine_barrier(u, params, (0.1, 1.0), (10.0, 14.0), budget=40)
+    assert math.isfinite(ref.v1) and ref.v1 >= good.v1

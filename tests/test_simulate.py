@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import impulse_path_mc
 from dividend2d import (
     BarrierSpec,
     ExponentialClaims,
@@ -29,7 +30,6 @@ from dividend2d import simulate
 from dividend2d.model import SampledClaims
 from dividend2d.simulate import (
     _MAX_COLUMNS,
-    _NEED_MORE,
     _RUIN_C1,
     _RUIN_C2,
     DividendEstimate,
@@ -172,6 +172,28 @@ def test_censoring_bias_within_reported_bound(params, barrier):
     assert 0.0 <= drift < short.truncation_bias_bound
 
 
+def test_barrier_paths_past_the_column_cap_are_censored_at_their_time(params, barrier, monkeypatch):
+    # 11 columns: a 1,000-path block fills 8 and then 3, a single path 11;
+    # a path still running then is censored at the time of its 11th claim
+    u, seed, cap = Reserves(1.0, 2.0), 5, 11
+    trace = trace_refracted_path(u, barrier, params, seed)
+    claims = [t for t, _, _, event in trace if event == "claim"]
+    assert len(claims) > cap
+    monkeypatch.setattr(simulate, "_MAX_PATH_COLUMNS", cap)
+    res = simulate_refracted_path(u, barrier, params, _path_rng(seed, 0))
+    assert (res.censored, res.ruin_cause, res.sigma) == (True, 0, claims[cap - 1])
+    cfg = SimConfig(n_paths=1000, master_seed=seed)
+    est = estimate_barrier_moments(u, barrier, params, cfg)
+    horizon = default_max_time(params, barrier.delta0)
+    paths = np.arange(cfg.n_paths)
+    D, sigma, censored, cause = simulate._barrier_paths(u, barrier, params, horizon, seed, paths)
+    assert 0 < est.n_censored == np.count_nonzero(censored) < cfg.n_paths
+    assert not cause[censored].any() and (sigma[censored] < horizon).all()
+    tail = np.exp(-params.q * sigma[censored]).sum() * barrier.delta0 / params.q / cfg.n_paths
+    assert est.truncation_bias_bound == pytest.approx(tail, rel=1e-12)
+    assert est.moments[1][0] == pytest.approx(D.mean(), rel=1e-12)
+
+
 def test_second_moment_dominates_square(params, barrier):
     est = estimate_barrier_moments(
         Reserves(1.0, 2.0), barrier, params, SimConfig(n_paths=5000, master_seed=4, moment_orders=(1, 2))
@@ -181,21 +203,20 @@ def test_second_moment_dominates_square(params, barrier):
     assert m2 >= m1 * m1
 
 
-def test_impulse_first_cycle_equals_per_cycle_payout(params):
-    # truncating at one cycle isolates the A of the renewal decomposition;
-    # the paths run as one block, whose rows equal the single-path calls
-    from dividend2d import impulse_v1_high
-
-    spec = ImpulseSpec(3.0, 2.0, 0.5)
-    A = impulse_v1_high(spec, params).A
-    n = 60_000
-    D, sigma, censored, cause = _impulse_paths(spec, params, 123, np.arange(n), 1)
-    for i in range(200):
-        row = PathResult(float(D[i]), float(sigma[i]), bool(censored[i]), int(cause[i]))
-        assert simulate_impulse_path(spec, params, _path_rng(123, i), max_cycles=1) == row
-    mean = D.mean()
-    se = math.sqrt((np.mean(D * D) - mean * mean) / n)
-    assert abs(mean - A) < 3.0 * se
+@pytest.mark.parametrize(
+    "spec, n", [(ImpulseSpec(3.0, 2.0, 0.5), 15_000), (ImpulseSpec(1.0, 2.0, 0.5), 30_000)]
+)
+def test_impulse_estimate_agrees_with_a_plain_python_whole_path_oracle(params, spec, n):
+    # the oracle shares neither streams, event code nor V1 = A/(1-p) with
+    # the library; its seed and the estimate's are fixed, not searched
+    est = estimate_impulse_moments(spec, params, SimConfig(n, 2501, moment_orders=(1, 2)))
+    D = np.array(impulse_path_mc(spec, params, n, seed=2502))
+    assert est.n_censored == 0
+    for k in (1, 2):
+        mean, se = est.moments[k]
+        dk = D**k
+        z = (mean - dk.mean()) / math.hypot(se, dk.std() / math.sqrt(n))
+        assert abs(z) < 3.0, (k, mean, dk.mean(), z)
 
 
 def test_impulse_negative_lumps_not_clamped(params):
@@ -218,28 +239,18 @@ def test_impulse_run_matches_single_paths_beyond_first_chunk(params):
     cfg = SimConfig(n_paths=16, master_seed=21, moment_orders=(1, 2))
     first_chunk = [
         _impulse_loop(
-            spec.u1, spec.u2, spec.K, params.c1, params.c2, params.q, 1_000_000,
+            spec.u1, spec.u2, spec.K, params.c1, params.c2, params.q,
             *(a.tolist() for a in _path_rng(cfg.master_seed, i).columns(params, 0, _MAX_COLUMNS)),
         )[2]
         for i in range(cfg.n_paths)
     ]
-    assert _NEED_MORE in first_chunk
+    assert 0 in first_chunk  # cause 0: the columns ran out before a ruin
     full = estimate_impulse_moments(spec, params, cfg)
     total = 0.0
     for i in range(cfg.n_paths):
         total += simulate_impulse_path(spec, params, _path_rng(cfg.master_seed, i)).D
     assert total / cfg.n_paths == full.moments[1][0]
     assert all(type(v) is float for moment in full.moments.values() for v in moment)
-
-
-@pytest.mark.parametrize("max_cycles", [0, -5])
-def test_impulse_rejects_fewer_than_one_cycle(params, max_cycles):
-    # a path used to come back censored at D = sigma = 0 without a word
-    spec = ImpulseSpec(3.0, 2.0, 0.5)
-    with pytest.raises(ValueError, match="max_cycles >= 1"):
-        simulate_impulse_path(spec, params, _path_rng(1, 0), max_cycles=max_cycles)
-    with pytest.raises(ValueError, match="max_cycles >= 1"):
-        _impulse_paths(spec, params, 1, np.arange(300), max_cycles)
 
 
 def test_numpy_exp_of_a_float_equals_its_array_lane():
@@ -257,39 +268,49 @@ def test_numpy_exp_of_a_float_equals_its_array_lane():
 
 
 @pytest.mark.parametrize(
-    "spec, claim_size, max_cycles",
+    "spec, claim_size, cap",
     [
-        (ImpulseSpec(3.0, 2.0, 0.5), None, 1),
-        (ImpulseSpec(3.0, 2.0, 0.5), None, 3),
+        # 26 of the 1,500 paths run past 300 columns: fewer than _HANDOFF,
+        # so the scalar loop takes them over before the cap censors them
+        (ImpulseSpec(3.0, 2.0, 0.5), None, 300),
+        # claims of 0.1 ruin no path within 200 columns (it takes about 19
+        # in one recovery), so the cap censors every path, in lockstep,
+        # at the handoff and in the scalar loop
+        (ImpulseSpec(3.0, 2.0, 0.5), 0.1, 200),
+        # a cap that no path comes near
         (ImpulseSpec(3.0, 2.0, 0.5), None, 1_000_000),
         (ImpulseSpec(3.0, 2.0, 50.0), None, 1_000_000),  # negative lumps
         (ImpulseSpec(1.0, 2.0, 0.5), None, 1_000_000),  # u1 < u2
         (ImpulseSpec(3.0, 2.0, 0.5), 2.5, 1_000_000),  # company 2 ruins
     ],
 )
-def test_impulse_results_do_not_depend_on_the_handoff(params, monkeypatch, spec, claim_size, max_cycles):
+def test_impulse_results_do_not_depend_on_the_handoff(params, monkeypatch, spec, claim_size, cap):
     # lockstep to the end, the default handoff, and the scalar loop alone
     # give the same per-path arrays and estimates, bit for bit; so does a
     # block of 100 paths, which starts in lockstep at the default handoff
     model = params if claim_size is None else _constant_claims(claim_size)
+    monkeypatch.setattr(simulate, "_MAX_PATH_COLUMNS", cap)
     paths = np.arange(1500)
     cfg = SimConfig(n_paths=1500, master_seed=31, moment_orders=(1, 2))
     runs = []
     assert simulate._HANDOFF <= 100
     for handoff in (0, simulate._HANDOFF, simulate._BLOCK + 1):
         monkeypatch.setattr(simulate, "_HANDOFF", handoff)
-        est = estimate_impulse_moments(spec, model, cfg) if max_cycles == 1_000_000 else None
-        runs.append((_impulse_paths(spec, model, 31, paths, max_cycles), est,
-                     _impulse_paths(spec, model, 31, paths[:100], max_cycles)))
+        est = estimate_impulse_moments(spec, model, cfg)
+        runs.append((_impulse_paths(spec, model, 31, paths), est,
+                     _impulse_paths(spec, model, 31, paths[:100])))
     lockstep, est, _ = runs[0]
     for results, other, small in runs:
         assert all(np.array_equal(a, b) for a, b in zip(lockstep, results))
         assert all(np.array_equal(a[:100], b) for a, b in zip(lockstep, small))
         assert other == est
     D, sigma, censored, cause = lockstep
+    assert est.n_censored == np.count_nonzero(censored) == np.count_nonzero(cause == 0)
+    if claim_size == 0.1:
+        assert est.n_censored == cfg.n_paths
     for i in (0, 1, 777, 1499):
         row = PathResult(float(D[i]), float(sigma[i]), bool(censored[i]), int(cause[i]))
-        assert simulate_impulse_path(spec, model, _path_rng(31, i), max_cycles) == row
+        assert simulate_impulse_path(spec, model, _path_rng(31, i)) == row
 
 
 @pytest.mark.parametrize("handoff", [None, 0, simulate._HANDOFF])
@@ -308,11 +329,13 @@ def test_impulse_path_reads_the_claim_of_the_column_whose_wait_it_used(params, m
         D += c1 * (math.exp(-q * t) - math.exp(-q * (t + wait))) / q
         t += wait + x / c2  # company 2 climbs back from u2 - x
         D += ((c1 - c2) * x / c2 - spec.K) * math.exp(-q * t)
+    cap = 4
+    monkeypatch.setattr(simulate, "_MAX_PATH_COLUMNS", cap)
     if handoff is None:
-        got_D, sigma, status, _, cause, _ = _impulse_loop(
-            spec.u1, spec.u2, spec.K, c1, c2, q, 2, waits.tolist(), claims.tolist()
+        got_D, sigma, cause, _ = _impulse_loop(
+            spec.u1, spec.u2, spec.K, c1, c2, q, waits[:cap].tolist(), claims[:cap].tolist()
         )
-        censored = status == simulate._CENSORED
+        censored = cause == 0
     else:
         # the lockstep loop (handoff 0) and the scalar loop behind the block
         def fill(master_seed, paths, params, ts, xs, start):
@@ -321,17 +344,17 @@ def test_impulse_path_reads_the_claim_of_the_column_whose_wait_it_used(params, m
 
         monkeypatch.setattr(simulate, "_fill_streams", fill)
         monkeypatch.setattr(simulate, "_HANDOFF", handoff)
-        results = _impulse_paths(spec, params, 0, np.arange(1), 2)
+        results = _impulse_paths(spec, params, 0, np.arange(1))
         got_D, sigma, censored, cause = (a[0] for a in results)
-    # both cycles complete: no ruin, censored at max_cycles = 2
+    # both cycles complete: no ruin, censored after _MAX_PATH_COLUMNS = 4
     assert (bool(censored), int(cause)) == (True, 0)
     assert float(got_D) == pytest.approx(D, rel=1e-12)
     assert float(sigma) == pytest.approx(t, rel=1e-12)
 
 
 def test_impulse_rejects_a_time_horizon(params):
-    # impulse paths are censored by cycle count; a horizon used to be
-    # ignored without a word
+    # impulse paths are censored only by their column count; a horizon used
+    # to be ignored without a word
     cfg = SimConfig(n_paths=10, master_seed=1, max_time=5.0)
     with pytest.raises(ValueError, match="max_time must be None"):
         estimate_impulse_moments(ImpulseSpec(3.0, 2.0, 0.5), params, cfg)
