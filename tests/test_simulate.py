@@ -306,8 +306,7 @@ def test_impulse_results_do_not_depend_on_the_handoff(params, monkeypatch, spec,
         assert other == est
     D, sigma, censored, cause = lockstep
     assert est.n_censored == np.count_nonzero(censored) == np.count_nonzero(cause == 0)
-    if claim_size == 0.1:
-        assert est.n_censored == cfg.n_paths
+    assert est.n_censored == {300: 26, 200: cfg.n_paths}.get(cap, 0)
     for i in (0, 1, 777, 1499):
         row = PathResult(float(D[i]), float(sigma[i]), bool(censored[i]), int(cause[i]))
         assert simulate_impulse_path(spec, model, _path_rng(31, i)) == row
