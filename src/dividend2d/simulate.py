@@ -28,13 +28,13 @@ resume on the next chunk, drawn for them alone and twice as wide (up to
 64 columns).
 A single path is a block of one, so estimates, single-path calls and
 traces share every operation.  Both kernels drop finished paths from
-their arrays in batches, padded to a multiple of ``_LANES`` rows.  The
-driver fills at most ``_MAX_PATH_COLUMNS`` columns a path and censors the
-paths still running then, with their payout and time so far: the one
-guard against a path that never ends.  Barrier paths ruin or reach their
-horizon long before it.  Impulse paths have no horizon: every cycle
-restarts at ``(u1, u2)``, so a path runs cycles, uncounted, until one
-ends in ruin, and only the cap censors it.
+their arrays in batches, padded to a multiple of ``_LANES`` rows.
+``_run_chunks`` fills at most ``_MAX_PATH_COLUMNS`` columns a path and
+censors the paths still running then, with their payout and time so far:
+the one guard against a path that never ends.  Barrier paths ruin or
+reach their horizon long before it.  Impulse paths have no horizon:
+every cycle restarts at ``(u1, u2)``, so a path runs cycles, uncounted,
+until one ends in ruin, and only the cap censors it.
 
 In lockstep each impulse path consumes one column per step, to start a
 cycle or for one step of its recovery race: the column's wait, and its
@@ -676,7 +676,7 @@ def _impulse_kernel(
     of the block's ``j``-th running path.  Returns the block: paths that
     ruin get their D, sigma (``t + s`` of the cycle that ruins), status
     ``_DONE`` and ruin cause; the others stay running.  Neither loop
-    censors: that is the chunk driver's part.
+    censors: ``_run_chunks`` does, after ``_MAX_PATH_COLUMNS`` columns.
 
     In lockstep each path consumes one column per step, to start a cycle
     or for one step of its recovery race, as ``_impulse_loop`` does;
