@@ -43,6 +43,13 @@ COMMANDS = [
     ("value-barrier-table3", ["value-barrier", "--u1", "0.4", "--u2", "0.6", "--a", "0.9",
                               "--b", "1.8"]),
     ("value-barrier-far", ["value-barrier", "--u1", "1", "--u2", "2", "--a", "0.1", "--b", "800"]),
+    # error paths: a series that cancels below its rounding (exit 3), an exponent
+    # step that fails (exit 3), and a primed seed exp(g2*b) that overflows before
+    # that step's failure is reported (exit 2)
+    *((f"value-barrier-{name}", ["value-barrier", "--u1", "1", "--u2", "2", "--a", "0.1", *flags])
+      for name, flags in (("q1e-16", ["--b", "14", "--q", "1e-16"]),
+                          ("c1e100", ["--b", "14", "--c1", "1e100"]),
+                          ("c1e100-far", ["--b", "800", "--c1", "1e100"]))),
     ("value-impulse", ["value-impulse", "--u1", "3", "--u2", "2", "--cost", "0.5"]),
     ("value-impulse-below", ["value-impulse", "--u1", "1", "--u2", "2", "--cost", "0.5"]),
     ("simulate-barrier", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "1", "--u2", "2",

@@ -184,7 +184,8 @@ def cmd_optimize(args) -> int:
     if result.argmax is None:
         why = "".join(f"; first cell a={c.a!r} b={c.b!r}: {c.error}" for c in result.grid[:1])
         print(f"no valid cell in the grid{why}")
-        return EXIT_BAD_INPUT
+        # exit as value-barrier would on the cells: 3 only if each failed to converge
+        return EXIT_NONCONVERGENCE if all(c.numerical for c in result.grid) else EXIT_BAD_INPUT
     a, b = result.argmax
     print(f"argmax a={a!r} b={b!r} v1={result.argmax_value:.10g} [series]")
     return EXIT_OK

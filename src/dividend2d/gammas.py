@@ -13,9 +13,10 @@ The triples depend on the slope ``a`` and the model only, so each slope's
 families are built once by the scalar recursion and cached as arrays,
 grown only when a barrier needs more terms.  A barrier's height ``b`` and
 payout rate ``delta0`` enter through the two seeds of the coefficients
-alone: each barrier takes one array pass, a cumulative product of the
-slope's step factors from its seeds, then cumulative corner sums to find
-its truncation point and the matching constant E.
+alone, which scale every term of a family alike, so the slope decides
+where every barrier's series ends.  Each barrier takes one array pass over
+its kept terms: a cumulative product of the slope's step factors from its
+seeds, then cumulative corner sums for the matching constant E.
 
 Raw ``D_k`` coefficients underflow for large k because they carry
 ``exp(-g2*b)``; all arithmetic therefore runs on the rescaled
@@ -48,6 +49,9 @@ _FIELDS = ("g1", "g2", "g3", "D", "D_scaled")
 #: relative tolerance of the root, linkage and seed checks in ``invariant_violations``
 _INVARIANT_RTOL = 1e-9
 
+#: most steps a slope holds, and the tail ratio below which a step ends the series
+_MAX_TERMS, _TAIL_TOL = 200, 1e-12
+
 
 @dataclass(frozen=True, eq=False)
 class GammaSequences:
@@ -69,7 +73,7 @@ class GammaSequences:
     a_prime: float
     a: float
     b: float
-    tail_ratio: float  # achieved relative size of the last E-sum terms
+    tail_ratio: float  # the slope's tail ratio of the corner sums at the last step kept
 
     @property
     def D(self) -> np.ndarray:
@@ -198,71 +202,75 @@ def _step(
 class _Slope:
     """Both families at one slope ``a``, grown step by step on demand.
 
-    ``data`` is a read-only ``(6, 2, n)`` array: per field, family and
+    ``data`` is a read-only ``(7, 2, n)`` array: per field, family and
     step it holds ``g1, g2, g3``, the ``D_scaled`` step factor ``rho[k-1]
     * flux(g3[k-1], g2[k-1]) / flux(g1[k], g2[k])`` (1 at k = 0, where a
-    barrier puts its seed), ``g1 - g3`` and ``g1 + g2 + alpha``.  Here
-    ``rho = (g3 + g2 + alpha) / (g1 + g2 + alpha)`` and ``flux(g, g2) =
-    g*(c1 + 1) + g2*(c2 - a)`` is the coefficient of a series term in the
-    on-barrier flux condition.
+    barrier puts its seed), ``g1 - g3``, ``g1 + g2 + alpha`` and the
+    running sum of ``|term|`` of the corner sum seeded at 1.  Here ``rho =
+    (g3 + g2 + alpha) / (g1 + g2 + alpha)`` and ``flux(g, g2) = g*(c1 + 1)
+    + g2*(c2 - a)`` is the coefficient of a series term in the on-barrier
+    flux condition.  ``tails`` holds each step's tail ratio, the larger
+    ``|term| / |corner sum|`` of the two families.
 
-    Nothing here depends on a barrier.  Growth tracks the corner sums of
-    both families seeded at 1 and stops where their tail ratio is small.
-    A barrier's terms are its seeds times the same products of step
-    factors, so its seeds cancel out of that ratio: every barrier of the
-    slope converges where these sums do, up to rounding.
+    Nothing here depends on a barrier: a barrier's terms are its seeds
+    times the same products of step factors, so it ends where ``tails``
+    first falls below ``_TAIL_TOL``.
     """
 
     def __init__(self, a: float, params: ModelParams):
         self.a, self.params = a, params
         self.a_prime = (a - params.c2) / (params.c1 + 1.0)
-        self.data = np.empty((6, 2, 0))
+        self.data = np.empty((7, 2, 0))
+        self.tails = np.empty(0)
         self.error: str | None = None  # message of the step that failed, if one did
-        self.tail = math.inf  # tail ratio of the seed-1 corner sums at the last step, from k = 1
         self._last: tuple = (None, None)  # (g1, g2, g3) of both families at the last step held
-        # per family: rho * flux(g3, g2), D_scaled and the corner sum at the last step, seed 1
-        self._carry = [(0.0, 1.0, 0.0)] * 2
+        # per family at the last step, seed 1: rho * flux(g3, g2), D_scaled, corner sum, sum |term|
+        self._carry = [(0.0, 1.0, 0.0, 0.0)] * 2
 
     @property
     def n(self) -> int:
         return self.data.shape[2]
 
-    def grow(self, need: int, tail_tol: float, max_terms: int) -> None:
-        """Step until ``need`` steps are held and the tail ratio is below
-        ``tail_tol``, until ``max_terms`` are held, or until a step fails."""
+    def grow(self, need: int) -> None:
+        """Step until ``need`` steps are held and the last tail ratio is
+        below ``_TAIL_TOL``, until ``_MAX_TERMS`` are held, or until a step
+        fails; a slope whose step failed is not stepped again."""
         a, params = self.a, self.params
         alpha = require_exponential(params.claims).rate
         c1p, c2a = params.c1 + 1.0, params.c2 - a
-        last, carry, tail, slopes = self._last, self._carry, self.tail, (a, self.a_prime)
-        flat: list[float] = []
+        last, carry, slopes = self._last, self._carry, (a, self.a_prime)
         n = self.n
-        while n < max_terms and not (n >= need and tail < tail_tol):
+        tail = self.tails[-1] if n else math.inf
+        flat, tails = [], []
+        while self.error is None and n < _MAX_TERMS and not (n >= need and tail < _TAIL_TOL):
             try:  # the primed family is seeded at a_prime, then steps at a like the base
                 steps = tuple(_step(p, a if n else m, params) for p, m in zip(last, slopes))
             except NonConvergenceError as exc:
                 self.error = str(exc)
                 break
             ratios, next_carry = [], []
-            for (g1, g2, g3), (rho_flux, scaled, total) in zip(steps, carry):
+            for (g1, g2, g3), (rho_flux, scaled, total, size) in zip(steps, carry):
                 g1_g3, g1_g2_alpha = g1 - g3, g1 + g2 + alpha
                 factor = rho_flux / (g1 * c1p + g2 * c2a) if n else 1.0
                 scaled *= factor
                 term = scaled * g1_g3 / g1_g2_alpha
                 total += term
+                size += abs(term)
                 ratios.append(abs(term) / max(abs(total), 1e-300))
                 next_carry.append(
-                    ((g3 + g2 + alpha) / g1_g2_alpha * (g3 * c1p + g2 * c2a), scaled, total)
+                    ((g3 + g2 + alpha) / g1_g2_alpha * (g3 * c1p + g2 * c2a), scaled, total, size)
                 )
-                flat += (g1, g2, g3, factor, g1_g3, g1_g2_alpha)
-            if n:
-                tail = max(ratios)
+                flat += (g1, g2, g3, factor, g1_g3, g1_g2_alpha, size)
+            tail = max(ratios)
+            tails.append(tail)
             last, carry = steps, next_carry
             n += 1
         if flat:
-            new = np.fromiter(flat, float, len(flat)).reshape(-1, 2, 6).transpose(2, 1, 0)
+            new = np.fromiter(flat, float, len(flat)).reshape(-1, 2, 7).transpose(2, 1, 0)
             data = np.concatenate((self.data, new), axis=2)
             data.flags.writeable = False
-            self.data, self._last, self._carry, self.tail = data, last, carry, tail
+            self.data, self._last, self._carry = data, last, carry
+            self.tails = np.concatenate((self.tails, tails))
 
 
 def _primed_seed(g2_primed0: float, b: float) -> float:
@@ -283,13 +291,9 @@ def _slope(a: float, params: ModelParams) -> _Slope:
 
 
 def build_sequences(
-    barrier: BarrierSpec,
-    params: ModelParams,
-    max_terms: int = 200,
-    tail_tol: float = 1e-12,
-    min_terms: int = 2,
+    barrier: BarrierSpec, params: ModelParams, min_terms: int = 2
 ) -> GammaSequences:
-    """Construct both families plus E, truncated by the corner-sum tails.
+    """Construct both families plus E, truncated where the slope's tails end.
 
     The triples come from the slope's cached families; the barrier sets
     only the two seeds of the rescaled coefficients.  These follow
@@ -299,18 +303,20 @@ def build_sequences(
     the primed family from ``D0 = 1``, that is ``D_scaled = exp(g2*b)``.
 
     Each step adds its term to the corner sums at (0, b), the numerator
-    and denominator of E.  The sequences end at the first step whose
-    term in both sums is below ``tail_tol`` relative to the running
-    totals, but never before ``min_terms``.  E then zeroes the value at
-    (0, b) by construction, up to the shared truncation.
+    and denominator of E.  The sequences end at the slope's first step
+    ``k``, not before ``min_terms``, whose tail ratio is below
+    ``_TAIL_TOL`` (``NonConvergenceError`` if none of ``_MAX_TERMS`` is).
+    E then zeroes the value at (0, b) by construction, up to the shared
+    truncation.
 
     A value of the series is a difference of the base terms and E times
     the primed terms, which can cancel far below their size.  So the
-    rounding bound of the corner sums over the kept terms, ``2**-52 *
-    (sum |base| + |E| sum |primed|)``, must stay within ``1e-6 * delta0 /
-    (lam + q)``, a millionth of the value's scale (a relative test would
-    fail at the corner, whose value is 0); otherwise, as when the array
-    pass overflows, ``NonConvergenceError`` is raised.
+    rounding bound of the corner sums, ``2**-52 * (|seed0| S0 + |E|
+    |seed1| S1)`` with ``S`` the slope's seed-1 sums of ``|term|`` at k,
+    must stay within ``1e-6 * delta0 / (lam + q)``, a millionth of the
+    value's scale (a relative test would fail at the corner, whose value
+    is 0); otherwise, as when a corner sum overflows, ``NonConvergenceError``
+    is raised.
     """
     require_exponential(params.claims)
     if not barrier.is_reflection(params):
@@ -318,44 +324,34 @@ def build_sequences(
             ["series solution needs the reflection drift delta = (c1 + 1, c2 - a)"]
         )
     a, b = float(barrier.a), float(barrier.b)
-    if not 2 <= min_terms <= max_terms:
-        raise ParameterError([f"need 2 <= min_terms <= max_terms, got {min_terms}, {max_terms}"])
+    if not 2 <= min_terms <= _MAX_TERMS:
+        raise ParameterError([f"need 2 <= min_terms <= {_MAX_TERMS}, got {min_terms}"])
 
     slope = _slope(a, params)
-    need = min_terms
-    while True:
-        if slope.n < need:
-            slope.grow(need, tail_tol, max_terms)
-        if not slope.n:  # the seed step failed
-            raise NonConvergenceError(slope.error)
-        data = slope.data
-        n = min(data.shape[2], max_terms)
-        factors = data[3, :, :n].copy()
-        g1_0, g2_0 = float(data[0, 0, 0]), float(data[1, 0, 0])
-        factors[0, 0] = barrier.delta0 / (g1_0 * (params.c1 + 1.0) + g2_0 * (params.c2 - a))
-        factors[1, 0] = _primed_seed(float(data[1, 1, 0]), b)
-        with np.errstate(all="ignore"):  # an overflow fails the checks below
-            scaled = factors.cumprod(axis=1)
-            terms = scaled * data[4, :, :n] / data[5, :, :n]
-            sums = terms.cumsum(axis=1)
-            size = np.abs(terms)
-            ratio = size / np.maximum(np.abs(sums), 1e-300)
-        tail = np.where(ratio[1] > ratio[0], ratio[1], ratio[0])  # max(), first on ties
-        hits = (tail[min_terms - 1 :] < tail_tol).nonzero()[0]
-        if hits.size:
-            k = min_terms - 1 + int(hits[0])
-            break
-        if n >= max_terms:
-            raise NonConvergenceError(
-                f"corner sums not converged in {max_terms} terms (tail ratio {tail[-1]:.2e})"
-            )
-        if slope.error is not None:
-            raise NonConvergenceError(slope.error)
-        need = n + 1
+    if slope.n < min_terms:
+        slope.grow(min_terms)
+    if not slope.n:  # the seed step failed
+        raise NonConvergenceError(slope.error)
+    data, tails = slope.data, slope.tails
+    g1_0, g2_0 = float(data[0, 0, 0]), float(data[1, 0, 0])
+    seed0 = barrier.delta0 / (g1_0 * (params.c1 + 1.0) + g2_0 * (params.c2 - a))
+    seed1 = _primed_seed(float(data[1, 1, 0]), b)
+    hits = (tails[min_terms - 1 :] < _TAIL_TOL).nonzero()[0]
+    if not hits.size:
+        raise NonConvergenceError(
+            slope.error
+            or f"corner sums not converged in {_MAX_TERMS} terms (tail ratio {tails[-1]:.2e})"
+        )
+    k = min_terms - 1 + int(hits[0])
+    factors = data[3, :, : k + 1].copy()
+    factors[:, 0] = seed0, seed1
+    with np.errstate(all="ignore"):  # an overflow fails the check below
+        scaled = factors.cumprod(axis=1)
+        sums = (scaled * data[4, :, : k + 1] / data[5, :, : k + 1]).cumsum(axis=1)
     corner, corner_primed = sums[:, k].tolist()
-    E = -corner / corner_primed if corner_primed else math.nan
-    size_base, size_primed = size[:, : k + 1].sum(axis=1).tolist()
-    rounding = 2.0**-52 * (size_base + abs(E) * size_primed)
+    E = -corner / corner_primed if 0.0 < abs(corner_primed) < math.inf else math.nan
+    size_base, size_primed = data[6, :, k].tolist()
+    rounding = 2.0**-52 * (abs(seed0) * size_base + abs(E) * abs(seed1) * size_primed)
     scale = barrier.delta0 / (params.lam + params.q)
     if not rounding <= 1e-6 * scale:
         raise NonConvergenceError(
@@ -363,32 +359,27 @@ def build_sequences(
             f" = {scale:.6g} over {k + 1} terms"
         )
     g1, g2, g3 = data[:3, :, : k + 1].copy()  # apart from the slope's arrays
-    d_scaled = scaled[:, : k + 1].copy()
-    for field in (g1, g2, g3, d_scaled):
+    for field in (g1, g2, g3, scaled):
         field.flags.writeable = False
     return GammaSequences(
         g1=g1,
         g2=g2,
         g3=g3,
-        D_scaled=d_scaled,
+        D_scaled=scaled,
         E=E,
         a_prime=slope.a_prime,
         a=a,
         b=b,
-        tail_ratio=float(tail[k]),
+        tail_ratio=float(tails[k]),
     )
 
 
 @lru_cache(maxsize=128)
 def sequences_for(
-    barrier: BarrierSpec,
-    params: ModelParams,
-    max_terms: int = 200,
-    tail_tol: float = 1e-12,
-    min_terms: int = 2,
+    barrier: BarrierSpec, params: ModelParams, min_terms: int = 2
 ) -> GammaSequences:
-    """Cached :func:`build_sequences`; triples depend on (barrier, params) only."""
-    return build_sequences(barrier, params, max_terms, tail_tol, min_terms)
+    """Cached :func:`build_sequences`; the slope decides how many terms it keeps."""
+    return build_sequences(barrier, params, min_terms)
 
 
 def sequences_to_csv(seqs: GammaSequences) -> str:

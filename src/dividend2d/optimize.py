@@ -40,6 +40,7 @@ class SweepCell:
     terms: int
     tail: float
     error: str | None = None
+    numerical: bool = False  # the error is a NonConvergenceError
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,8 @@ def _evaluate_cell(u: Reserves, a: float, b: float, params: ModelParams) -> Swee
         return SweepCell(a, b, u.u1, u.u2, val.value, val.terms_used, val.tail_estimate)
     except (ParameterError, AnalyticDomainError, NonConvergenceError,
             UnsupportedDistributionError) as exc:
-        return SweepCell(a, b, u.u1, u.u2, None, 0, math.nan, error=str(exc))
+        return SweepCell(a, b, u.u1, u.u2, None, 0, math.nan, error=str(exc),
+                         numerical=isinstance(exc, NonConvergenceError))
 
 
 def sweep_barrier(

@@ -582,13 +582,18 @@ def _barrier_paths(
 ) -> _Results:
     """Per-path (D, sigma, censored, cause) arrays of barrier paths, run
     from ``u`` as one block until each ruins or is censored.  ``trace`` (a
-    list, blocks of one path only) receives that path's event rows."""
+    list, blocks of one path only) receives that path's event rows, ending
+    on a ``censored`` row also when ``_run_chunks`` censors it."""
     if trace is not None:
         if paths.size != 1:
             raise ValueError("tracing needs a block of one path")
         trace.append((0.0, float(u.u1), float(u.u2), 0))
     kernel = partial(_barrier_kernel, barrier, params, max_time, trace=trace)
-    return _run_chunks(kernel, _BarrierBlock(u, paths.size), params, master_seed, paths)
+    block = _BarrierBlock(u, paths.size)
+    results = _run_chunks(kernel, block, params, master_seed, paths)
+    if trace is not None and block.live.size:  # still running at the column cap
+        trace.append((float(block.t[0]), float(block.y1[0]), float(block.y2[0]), 5))
+    return results
 
 
 def _impulse_loop(u1, u2, K, c1, c2, q, ts, xs, D=0.0, t=0.0, race=None):

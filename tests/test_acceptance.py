@@ -218,7 +218,7 @@ def test_criterion_6_gamma_suite(params):
     """Sign/monotonicity/linkage for 60 terms, 4 slopes; ratio at k=40 within 1%."""
     for a in (0.1, 0.2, 0.5, 1.0):
         bar = BarrierSpec.reflection(a, 14.0, params)
-        seqs = sequences_for(bar, params, max_terms=200, tail_tol=1e-12, min_terms=60)
+        seqs = sequences_for(bar, params, min_terms=60)
         assert len(seqs.steps) >= 60 and len(seqs.primed_steps) >= 60
         bad = invariant_violations(seqs, params)
         assert bad == [], bad

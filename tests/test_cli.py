@@ -301,16 +301,27 @@ def test_a_series_spoiled_by_rounding_or_overflow_is_a_numerical_error(capsys, a
 
 def test_optimize_keeps_cells_whose_series_overflows(tmp_path, capsys):
     # at c1 = 1e10 every cell's exponent steps overflow; the sweep used to
-    # stop at the first with exit 3 and no CSV
+    # stop at the first with exit 3 and no CSV.  It writes every cell, and
+    # exits 3 as value-barrier does on each of them
     out_file = tmp_path / "sweep.csv"
     rc, out = run(capsys, ["optimize", "--u1", "1", "--u2", "2", "--a-grid", "0.1,0.2",
                            "--b-grid", "14", "--c1", "1e10", "--out", str(out_file)])
-    assert rc == 2
+    assert rc == 3
     assert out.startswith("wrote ") and "no valid cell in the grid; first cell a=0.1 b=14.0: " in out
     with open(out_file, newline="") as fh:
         header, *cells = csv.reader(fh)
     assert [cell[:2] for cell in cells] == [["0.1", "14.0"], ["0.2", "14.0"]]
     assert all(cell[-1].startswith("exponent step not finite") for cell in cells)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--a-grid", "5"],  # a >= c2: no reflection barrier
+    ["--a-grid", "0.1,5", "--c1", "1e10"],  # one cell overflows, the other is bad input
+])
+def test_optimize_exits_2_unless_every_cell_failed_numerically(capsys, flags):
+    rc, out = run(capsys, ["optimize", "--u1", "1", "--u2", "2", "--b-grid", "14", *flags])
+    assert rc == 2
+    assert "no valid cell in the grid" in out
 
 
 def test_simulate_seed_out_of_range_is_bad_input(capsys):

@@ -11,11 +11,12 @@ from dividend2d import (
     ExponentialClaims,
     ModelParams,
     NonConvergenceError,
+    ParameterError,
     build_sequences,
     sequences_for,
     sequences_to_csv,
 )
-from dividend2d import gammas
+from dividend2d import gammas, tables
 from dividend2d.gammas import (
     asymptotic_ratio_violations,
     invariant_violations,
@@ -56,8 +57,6 @@ def test_gamma2_initial_positive_and_exact_root(params, barrier):
 
 def test_gamma2_initial_rejects_bad_leading_coefficient(params):
     # slope -0.9 makes (m^2+m)c1 + (1+m)c2 negative for these rates
-    from dividend2d import ParameterError
-
     with pytest.raises(ParameterError, match="leading coefficient"):
         gammas._step(None, -0.9, params)
 
@@ -123,9 +122,27 @@ def test_asymptotic_ratios_at_k40(params):
         assert asymptotic_ratio_violations(seqs, params, k=40, rtol=0.01) == []
 
 
-def test_nonconvergence_reported(params, barrier):
-    with pytest.raises(NonConvergenceError, match="not converged"):
-        build_sequences(barrier, params, max_terms=4, tail_tol=1e-30)
+@pytest.fixture
+def max_terms(monkeypatch):
+    """Sets ``gammas._MAX_TERMS`` for one test; the slopes it grows are
+    dropped before and after."""
+    def set_to(n):
+        monkeypatch.setattr(gammas, "_MAX_TERMS", n)
+        gammas._slope.cache_clear()
+    yield set_to
+    gammas._slope.cache_clear()
+
+
+def test_nonconvergence_reported(params, barrier, max_terms):
+    max_terms(4)
+    with pytest.raises(NonConvergenceError, match="not converged in 4 terms"):
+        build_sequences(barrier, params)
+
+
+@pytest.mark.parametrize("min_terms", [1, gammas._MAX_TERMS + 1])
+def test_min_terms_outside_the_term_range_is_rejected(params, barrier, min_terms):
+    with pytest.raises(ParameterError, match="min_terms"):
+        build_sequences(barrier, params, min_terms=min_terms)
 
 
 def test_csv_round_trip(params, barrier):
@@ -187,30 +204,44 @@ def test_build_after_another_barrier_of_the_slope_equals_a_cold_build(setup, b1,
     _assert_identical(warm, _cold(bar2, params))
 
 
-@pytest.mark.parametrize("options", [
-    lambda terms: {"min_terms": 60},
-    lambda terms: {"max_terms": 400, "min_terms": 2 * terms},
-    lambda terms: {"tail_tol": 1e-15},
+@pytest.mark.parametrize("min_terms", [
+    lambda terms: 60,
+    lambda terms: 2 * terms,
 ])
-def test_build_that_outgrows_the_cached_slope_equals_a_cold_build(params, options):
+def test_build_that_outgrows_the_cached_slope_equals_a_cold_build(params, min_terms):
     for a, b in ((0.1, 14.0), (0.9, 1.8)):
         bar = BarrierSpec.reflection(a, b, params)
         short = _cold(bar, params)
-        kw = options(len(short.steps))
-        longer = build_sequences(bar, params, **kw)
+        m = min_terms(len(short.steps))
+        longer = build_sequences(bar, params, min_terms=m)
         assert len(longer.steps) > len(short.steps)
-        _assert_identical(longer, _cold(bar, params, **kw))
+        _assert_identical(longer, _cold(bar, params, min_terms=m))
 
 
-def test_nonconvergence_message_is_the_same_cold_and_warm(params, barrier):
+def test_nonconvergence_message_is_the_same_cold_and_warm(params, barrier, max_terms):
+    # the second build reads the slope the first one grew and left failing
     message = "corner sums not converged in 3 terms (tail ratio 1.06e-01)"
-    gammas._slope.cache_clear()
+    max_terms(3)
     with pytest.raises(NonConvergenceError) as cold:
-        build_sequences(barrier, params, max_terms=3)
-    build_sequences(barrier, params)
+        build_sequences(barrier, params)
     with pytest.raises(NonConvergenceError) as warm:
-        build_sequences(barrier, params, max_terms=3)
+        build_sequences(barrier, params)
     assert str(cold.value) == str(warm.value) == message
+
+
+# the b values of tables 1-2 at each of their slopes, and a grid of b at
+# table 3's slope
+_TABLE_BARRIERS = [
+    *((a, tables.TABLE1_B) for a in tables.TABLE1_A),
+    (tables.TABLE3_BARRIER[0], [0.2 * i for i in range(1, 41)]),
+]
+
+
+@pytest.mark.parametrize("a, bs", _TABLE_BARRIERS)
+def test_every_barrier_of_a_slope_keeps_the_same_terms(params, a, bs):
+    gammas._slope.cache_clear()
+    terms = {len(build_sequences(BarrierSpec.reflection(a, b, params), params).steps) for b in bs}
+    assert len(terms) == 1
 
 
 @pytest.mark.parametrize("a, b, name", [(0.1, 14.0, "gammas_a0.1_b14.csv"),
@@ -229,5 +260,5 @@ def test_csv_dump_is_pinned(params, a, b, name):
 @given(valid_setups())
 def test_family_invariants_hold_generically(setup):
     params, bar = setup
-    seqs = build_sequences(bar, params, max_terms=120, tail_tol=1e-10, min_terms=8)
+    seqs = build_sequences(bar, params, min_terms=8)
     assert invariant_violations(seqs, params) == []

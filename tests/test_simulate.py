@@ -518,6 +518,18 @@ def test_trace_ends_censored_below_line(params):
     assert y2 < far.line_height(y1)
 
 
+def test_trace_ends_censored_at_the_column_cap(params, barrier, monkeypatch):
+    # the path outlives three columns; the kernel that writes the trace
+    # never sees the cap, which _run_chunks enforces
+    monkeypatch.setattr(simulate, "_MAX_PATH_COLUMNS", 3)
+    u = Reserves(1.0, 2.0)
+    rows = trace_refracted_path(u, barrier, params, seed=5)
+    path = simulate_refracted_path(u, barrier, params, _path_rng(5, 0))
+    assert path.censored
+    assert [ev for *_, ev in rows].count("claim") == 3
+    assert rows[-2][3] == "claim" and rows[-1] == (path.sigma, *rows[-2][1:3], "censored")
+
+
 def _pinned(m1, m2, m3, ruin_time_mean, bias, n_censored=0, n_ruin_company2=0):
     return DividendEstimate({1: m1, 2: m2, 3: m3}, ruin_time_mean, bias, 2000, n_censored,
                             n_ruin_company2)
