@@ -52,6 +52,12 @@ COMMANDS = [
                           ("c1e100-far", ["--b", "800", "--c1", "1e100"]))),
     ("value-impulse", ["value-impulse", "--u1", "3", "--u2", "2", "--cost", "0.5"]),
     ("value-impulse-below", ["value-impulse", "--u1", "1", "--u2", "2", "--cost", "0.5"]),
+    # the quadrature across u1 < u2, at the seam u1 = u2, and at another claim rate
+    *((f"value-impulse-below-{u1}", ["value-impulse", "--u1", u1, "--u2", "2", "--cost", "0.5"])
+      for u1 in ("0.5", "1.5", "1.999")),
+    ("value-impulse-seam", ["value-impulse", "--u1", "2", "--u2", "2", "--cost", "0.5"]),
+    ("value-impulse-below-alpha0.6", ["value-impulse", "--u1", "1", "--u2", "2", "--cost", "0.5",
+                                      "--alpha", "0.6"]),
     ("simulate-barrier", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "1", "--u2", "2",
                           "--a", "0.1", "--b", "14", "--trace", "path.csv"]),
     ("simulate-barrier-table3", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "0",

@@ -315,8 +315,8 @@ def build_sequences(
     |seed1| S1)`` with ``S`` the slope's seed-1 sums of ``|term|`` at k,
     must stay within ``1e-6 * delta0 / (lam + q)``, a millionth of the
     value's scale (a relative test would fail at the corner, whose value
-    is 0); otherwise, as when a corner sum overflows, ``NonConvergenceError``
-    is raised.
+    is 0); otherwise ``NonConvergenceError`` is raised, naming an overflow
+    when the bound or a corner sum is not finite.
     """
     require_exponential(params.claims)
     if not barrier.is_reflection(params):
@@ -354,6 +354,11 @@ def build_sequences(
     rounding = 2.0**-52 * (abs(seed0) * size_base + abs(E) * abs(seed1) * size_primed)
     scale = barrier.delta0 / (params.lam + params.q)
     if not rounding <= 1e-6 * scale:
+        if not all(map(math.isfinite, (rounding, corner, corner_primed))):
+            raise NonConvergenceError(
+                f"a corner sum overflows: sums ({corner:.3g}, {corner_primed:.3g}) at (0, b),"
+                f" rounding bound {rounding:.3g}, over {k + 1} terms"
+            )
         raise NonConvergenceError(
             f"series cancels below its rounding: bound {rounding:.3g} against delta0/(lam+q)"
             f" = {scale:.6g} over {k + 1} terms"

@@ -94,10 +94,20 @@ _V_Q_TOL = 1e-8
 _BALLOT_TOL = 1e-6
 _CLAIM_TOL = 1e-8
 
+#: elements of the widest array in one pass of the survival functional: a
+#: level's ballot convolution holds 48 z-nodes x 32 crossing nodes once
+#: both rules have doubled, so a pass takes about 8 levels
+_LEVEL_ELEMENTS = 1 << 14
+_LEVELS_PER_PASS = _LEVEL_ELEMENTS // (2 * 24 * 2 * 16)
 
-def _gauss_nodes(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+
+def _gauss_nodes(n: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point rule on ``[lo, hi]``; array bounds
+    give one interval per row."""
     x, w = _leggauss(n)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    if np.ndim(half):
+        mid, half = mid[..., None], half[..., None]
     return mid + half * x, half * w
 
 
@@ -249,13 +259,7 @@ def tilted_ruin_probability(z, tilt: TiltedModel, params: ModelParams):
     return float(out) if out.ndim == 0 else out
 
 
-def ballot_crossing_density(
-    z,
-    R: float,
-    v: float,
-    tilt: TiltedModel,
-    params: ModelParams,
-):
+def ballot_crossing_density(z, R: float, v, tilt: TiltedModel, params: ModelParams):
     """Density in z of surviving to R with company 1 at level z.
 
     Company 1 starts at ``c1*v`` and must stay nonnegative up to the
@@ -265,16 +269,22 @@ def ballot_crossing_density(
     All three pieces are densities of the scaled aggregate-claims
     variable, so the change to the z variable carries a 1/c1 factor.
 
-    Vectorized over z; the convolution uses node-doubling quadrature
-    with absolute tolerance ``_BALLOT_TOL``.
+    Vectorized over z and over the start scale v, which broadcasts with
+    z: the survival functional passes a row of z-nodes per level, so the
+    densities of every level of its pass come from one call.  The
+    convolution uses node-doubling quadrature with absolute tolerance
+    ``_BALLOT_TOL``, judged jointly over every z of the call.
     """
     if R <= 0.0:
         raise ValueError(f"horizon R must be positive, got {R}")
-    if v < 0.0:
-        raise ValueError(f"start scale v must be nonnegative, got {v}")
+    v_arr = np.asarray(v, dtype=float)
+    if np.any(v_arr < 0.0):
+        raise ValueError(f"start scale v must be nonnegative, got {v_arr.min()}")
     c1 = params.c1
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    phi_z = v - z_arr / c1 + R
+    z_arr, v_arr = np.broadcast_arrays(np.asarray(z, dtype=float), v_arr)
+    shape = z_arr.shape
+    z_arr, v_arr = z_arr.ravel(), v_arr.ravel()
+    phi_z = v_arr - z_arr / c1 + R
     if np.any(phi_z < -1e-12):
         raise ValueError("z beyond the no-claims maximum: phi(z) < 0")
     phi_z = np.maximum(phi_z, 0.0)
@@ -289,32 +299,31 @@ def ballot_crossing_density(
         dens = dens - t2
 
     conv = np.zeros_like(z_arr)
-    has_conv = phi_z > v + 1e-15
+    has_conv = phi_z > v_arr + 1e-15
     if np.any(has_conv):
         zs = z_arr[has_conv]
         ps = phi_z[has_conv]
+        vs = v_arr[has_conv]
 
         def conv_at(n: int) -> np.ndarray:
             # nodes w in (v, phi(z)) per z, all evaluated in one batch
             xg, wg = _leggauss(n)
-            half = 0.5 * (ps - v)
-            w_nodes = (v + half)[:, None] + half[:, None] * xg[None, :]
+            half = 0.5 * (ps - vs)
+            w_nodes = (vs + half)[:, None] + half[:, None] * xg[None, :]
             weights = half[:, None] * wg[None, :]
-            t_first = R + v - w_nodes
+            t_first = (R + vs)[:, None] - w_nodes
             f_first = erlang_mixture_density(1, t_first, ps[:, None] - w_nodes, tilt, params)
-            f_entry = erlang_mixture_density(1, w_nodes - v, w_nodes, tilt, params)
+            f_entry = erlang_mixture_density(1, w_nodes - vs[:, None], w_nodes, tilt, params)
             kern = zs[:, None] / (c1 * t_first)
             return np.sum(weights * kern * f_first * f_entry, axis=1)
 
         conv[has_conv] = _doubling(conv_at, _BALLOT_TOL)[0]
 
     out = (dens - conv) / c1
-    if np.isscalar(z) or np.asarray(z).ndim == 0:
-        return float(out[0])
-    return out
+    return out.reshape(shape) if shape else float(out[0])
 
 
-def v_q(y: float, spec: ImpulseSpec, tilt: TiltedModel, params: ModelParams) -> float:
+def v_q(y, spec: ImpulseSpec, tilt: TiltedModel, params: ModelParams):
     """Tilted probability that the pair survives forever from level y.
 
     Company 2 sits at ``y`` and company 1 at ``y - (u2 - u1)``; survival
@@ -323,26 +332,55 @@ def v_q(y: float, spec: ImpulseSpec, tilt: TiltedModel, params: ModelParams) -> 
     Splitting at R turns this into the crossing density integrated
     against the one-company survival probability, plus the atom of the
     no-claims-by-R event.
+
+    ``y`` is a level or an array of levels, and the result is the same
+    kind.  An array is valued in passes of up to ``_LEVELS_PER_PASS``
+    levels, so that a claim average costs a few array sweeps instead of a
+    Python call chain per claim node.  In a pass each rule holds a row of
+    z-nodes per level and each doubling judges the pass's levels jointly,
+    as the ballot convolution judges its z.  Passes rather than one sweep
+    over every level keep the widest array within ``_LEVEL_ELEMENTS``, so
+    batching does not raise peak memory.
     """
     gap = spec.u2 - spec.u1
-    if y < gap:
-        raise ParameterError([f"survival functional needs y >= u2 - u1 ({y} < {gap})"])
+    y_arr = np.asarray(y, dtype=float)
+    if np.any(y_arr < gap):
+        raise ParameterError(
+            [f"survival functional needs y >= u2 - u1 ({y_arr.min()} < {gap})"]
+        )
     if gap == 0.0:
-        return 1.0 - float(tilted_ruin_probability(y, tilt, params))
+        out = 1.0 - tilted_ruin_probability(y_arr, tilt, params)
+    else:
+        flat = y_arr.ravel()
+        out = np.concatenate([
+            _survival_pass(levels, gap, tilt, params)
+            for levels in np.array_split(flat, max(1, -(-flat.size // _LEVELS_PER_PASS)))
+        ]).reshape(y_arr.shape)
+    return float(out) if y_arr.ndim == 0 else out
+
+
+def _survival_pass(y: np.ndarray, gap: float, tilt: TiltedModel, params: ModelParams) -> np.ndarray:
+    """``v_q`` at the levels ``y``, the same formulas in one array sweep."""
     c1, c2 = params.c1, params.c2
     R = gap / (c1 - c2)
     v = (y - gap) / c1
     z_max = y + c2 * R
 
-    def integrand(z: np.ndarray) -> np.ndarray:
-        dens = ballot_crossing_density(z, R, v, tilt, params)
-        return dens * (1.0 - tilted_ruin_probability(z, tilt, params))
+    def integral(v: np.ndarray, lo, hi) -> np.ndarray:
+        def rule(n: int) -> np.ndarray:
+            z, w = _gauss_nodes(n, lo, hi)
+            dens = ballot_crossing_density(z, R, v[:, None], tilt, params)
+            return np.sum(w * (dens * (1.0 - tilted_ruin_probability(z, tilt, params))), axis=1)
 
-    split = min(c1 * R, z_max)
-    total = adaptive_gauss(integrand, 0.0, split, _V_Q_TOL / 2.0, n0=24)
-    total += adaptive_gauss(integrand, split, z_max, _V_Q_TOL / 2.0, n0=24)
+        return _doubling(rule, _V_Q_TOL / 2.0, n0=24)[0]
+
+    split = np.minimum(c1 * R, z_max)
+    total = integral(v, 0.0, split)
+    tail = split < z_max  # empty at y = u2 - u1 only
+    if np.any(tail):
+        total[tail] += integral(v[tail], split[tail], z_max[tail])
     atom = math.exp(-tilt.lambda_q * R)
-    total += atom * (1.0 - float(tilted_ruin_probability(z_max, tilt, params)))
+    total += atom * (1.0 - tilted_ruin_probability(z_max, tilt, params))
     return total
 
 
@@ -367,16 +405,17 @@ def _transform_claim_integral(
 
     The upper limit is u1: a first claim larger than u1 ruins company 1
     immediately, so larger claims cannot contribute a completed cycle.
+    ``v_q`` is called once, on the ``n_nodes + 1`` levels ``u2`` and
+    ``u2 - x`` at the nodes x, which it values a pass of levels at a time
+    rather than one Python call per node.
     """
     alpha = require_exponential(params.claims).rate
     tilt = phi_inverse(replace(params, q=qq))
-    v_u2 = v_q(spec.u2, spec, tilt, params)
     x, w = _gauss_nodes(n_nodes, 0.0, spec.u1)
+    v_u2, *v_nodes = v_q(np.concatenate(([spec.u2], spec.u2 - x)), spec, tilt, params)
+    # math.exp, not np.exp, whose last bit can differ
     vals = np.array(
-        [
-            math.exp(-tilt.phi * xi) * v_q(spec.u2 - xi, spec, tilt, params) / v_u2
-            for xi in x
-        ]
+        [math.exp(-tilt.phi * xi) * vi / v_u2 for xi, vi in zip(x, v_nodes)]
     )
     return float(np.sum(w * vals * alpha * np.exp(-alpha * x)))
 

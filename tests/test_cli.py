@@ -299,6 +299,16 @@ def test_a_series_spoiled_by_rounding_or_overflow_is_a_numerical_error(capsys, a
     assert err == ""
 
 
+def test_an_overflowing_corner_sum_is_named_as_an_overflow(capsys):
+    # the base seed is about 1e308 here, so the base corner sum overflows;
+    # the error used to read "series cancels below its rounding: bound inf"
+    rc, out = run(capsys, ["value-barrier", "--u1", "1", "--u2", "2", "--a", "0.1", "--b", "14",
+                           "--c1", "1e8", "--q", "1e-300"])
+    assert rc == 3
+    assert out.startswith("numerical error: a corner sum overflows: sums (inf, ")
+    assert out.count("\n") == 1
+
+
 def test_optimize_keeps_cells_whose_series_overflows(tmp_path, capsys):
     # at c1 = 1e10 every cell's exponent steps overflow; the sweep used to
     # stop at the first with exit 3 and no CSV.  It writes every cell, and

@@ -27,6 +27,7 @@ from dividend2d import (
     v_q,
     value_impulse,
 )
+from dividend2d import impulse
 from dividend2d.impulse import _doubling, _leggauss, adaptive_gauss
 
 # frozen from the finite-difference-of-quadrature oracle (h=1e-6, u2=2)
@@ -343,6 +344,30 @@ def test_vq_monotone_and_degenerate(params, tilt):
         v_q(0.5, spec, tilt, params)
 
 
+def test_vq_on_an_array_equals_its_scalar_calls(params, tilt):
+    # more levels than one pass, from y = u2 - u1 (whose second integral
+    # over (split, z_max) is empty) up to u2, where both intervals count
+    spec = ImpulseSpec(1.0, 2.0, 0.5)
+    ys = np.linspace(1.0, 2.0, impulse._LEVELS_PER_PASS + 3)
+    vals = v_q(ys, spec, tilt, params)
+    assert vals.shape == ys.shape
+    assert vals.tolist() == [v_q(y, spec, tilt, params) for y in ys]
+    flat = ImpulseSpec(2.0, 2.0, 0.5)
+    assert v_q(ys, flat, tilt, params).tolist() == [v_q(y, flat, tilt, params) for y in ys]
+    with pytest.raises(ParameterError, match=r"\(0\.5 < 1\.0\)"):
+        v_q(np.array([1.5, 0.5]), spec, tilt, params)
+
+
+def test_ballot_with_an_array_of_starts_equals_its_scalar_calls(params, tilt):
+    R = 0.25
+    starts = np.array([0.0, 0.1, 0.4])
+    z = params.c1 * (starts[:, None] + R) * np.linspace(0.0, 1.0, 9)
+    dens = ballot_crossing_density(z, R, starts[:, None], tilt, params)
+    assert dens.shape == z.shape
+    for row, zs, v in zip(dens, z, starts):
+        assert row.tolist() == ballot_crossing_density(zs, R, float(v), tilt, params).tolist()
+
+
 def test_vq_matches_tilted_simulation(params, tilt):
     spec = ImpulseSpec(1.0, 2.0, 0.5)
     R = (spec.u2 - spec.u1) / (params.c1 - params.c2)
@@ -403,3 +428,34 @@ def test_low_case_degenerate_reset(params):
     val = impulse_v1_low(ImpulseSpec(0.0, 2.0, 0.5), params)
     assert val.p == 0.0
     assert val.value == pytest.approx(params.c1 / (params.q + params.lam), rel=1e-14)
+
+
+# frozen (value, p, A, tau_integral) of impulse_v1_low at K = 0.5; the
+# quadrature's array passes must keep every bit
+_LOW_CASE_BITS = {
+    (0.5, 2.0, 2.0): (7.6420833798008445, 0.5551805092585609, 3.3993476372066276, 0.04463168101949872),
+    (1.0, 2.0, 2.0): (13.863326827751363, 0.7583278530753014, 3.3503799579814437, 0.10249827297100406),
+    (1.5, 2.0, 2.0): (20.593077888441233, 0.837479030595867, 3.3468069814442845, 0.14210114641644012),
+    (1.999, 2.0, 2.0): (25.16341614855408, 0.8668416005800249, 3.3507202182802156, 0.16255512042725093),
+    (1.0, 2.0, 0.6): (5.583021248062577, 0.3712691559252015, 3.5102176617819194, 0.06543746371897215),
+}
+
+
+@pytest.mark.parametrize("u1, u2, alpha", list(_LOW_CASE_BITS))
+def test_low_case_bits_are_pinned(params, u1, u2, alpha):
+    val = impulse_v1_low(ImpulseSpec(u1, u2, 0.5), replace(params, claims=ExponentialClaims(alpha)))
+    assert (val.value, val.p, val.A, val.tau_integral) == _LOW_CASE_BITS[(u1, u2, alpha)]
+
+
+def test_low_case_arrays_stay_within_the_element_budget(params, monkeypatch):
+    sizes = []
+    erlang = impulse.erlang_mixture_density
+
+    def recording(j, t, x, tilt, params):
+        sizes.append(np.broadcast(np.asarray(t), np.asarray(x)).size)
+        return erlang(j, t, x, tilt, params)
+
+    monkeypatch.setattr(impulse, "erlang_mixture_density", recording)
+    impulse_v1_low(ImpulseSpec(1.0, 2.0, 0.5), params)
+    assert sum(sizes) == 1_297_296  # every node count as in one call per level
+    assert max(sizes) <= impulse._LEVEL_ELEMENTS
