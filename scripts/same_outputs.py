@@ -58,6 +58,13 @@ COMMANDS = [
     ("value-impulse-seam", ["value-impulse", "--u1", "2", "--u2", "2", "--cost", "0.5"]),
     ("value-impulse-below-alpha0.6", ["value-impulse", "--u1", "1", "--u2", "2", "--cost", "0.5",
                                       "--alpha", "0.6"]),
+    ("value-impulse-below-q0.02", ["value-impulse", "--u1", "1", "--u2", "2", "--cost", "0.5",
+                                   "--q", "0.02"]),
+    ("value-impulse-below-alpha5", ["value-impulse", "--u1", "0.5", "--u2", "2", "--cost", "0.5",
+                                    "--alpha", "5"]),
+    # error path: c1 so close to c2 that the node rules miss the crossing density
+    ("value-impulse-below-c1-near-c2", ["value-impulse", "--u1", "1", "--u2", "2", "--cost", "0.5",
+                                        "--c1", "3.000001"]),
     ("simulate-barrier", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "1", "--u2", "2",
                           "--a", "0.1", "--b", "14", "--trace", "path.csv"]),
     ("simulate-barrier-table3", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "0",

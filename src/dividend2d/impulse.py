@@ -94,9 +94,9 @@ _V_Q_TOL = 1e-8
 _BALLOT_TOL = 1e-6
 _CLAIM_TOL = 1e-8
 
-#: elements of the widest array in one pass of the survival functional: a
-#: level's ballot convolution holds 48 z-nodes x 32 crossing nodes once
-#: both rules have doubled, so a pass takes about 8 levels
+#: elements of the widest array in one pass of the survival functional,
+#: the ballot convolution's entry density: levels x 48 z-nodes x 32
+#: crossing nodes once both rules have doubled, so a pass takes 10 levels
 _LEVEL_ELEMENTS = 1 << 14
 _LEVELS_PER_PASS = _LEVEL_ELEMENTS // (2 * 24 * 2 * 16)
 
@@ -270,10 +270,15 @@ def ballot_crossing_density(z, R: float, v, tilt: TiltedModel, params: ModelPara
     variable, so the change to the z variable carries a 1/c1 factor.
 
     Vectorized over z and over the start scale v, which broadcasts with
-    z: the survival functional passes a row of z-nodes per level, so the
-    densities of every level of its pass come from one call.  The
-    convolution uses node-doubling quadrature with absolute tolerance
-    ``_BALLOT_TOL``, judged jointly over every z of the call.
+    z: the survival functional passes one row of z-nodes and a column of
+    starts, one per level of its pass.  The convolution runs over the
+    first touch of zero at ``w = v + s`` for ``s`` in ``(0, g)``, with
+    ``g = R - z/c1 = phi(z) - v``: its time ``R - s``, the level
+    ``g - s`` climbed after it, the ballot kernel and the weights depend
+    on z alone, so they are computed on z's own shape and shared by every
+    start; only the entry density at ``s`` up to ``v + s`` is broadcast
+    against v.  It uses node-doubling quadrature with absolute tolerance
+    ``_BALLOT_TOL``, judged jointly over every z and start of the call.
     """
     if R <= 0.0:
         raise ValueError(f"horizon R must be positive, got {R}")
@@ -281,7 +286,8 @@ def ballot_crossing_density(z, R: float, v, tilt: TiltedModel, params: ModelPara
     if np.any(v_arr < 0.0):
         raise ValueError(f"start scale v must be nonnegative, got {v_arr.min()}")
     c1 = params.c1
-    z_arr, v_arr = np.broadcast_arrays(np.asarray(z, dtype=float), v_arr)
+    z_own = np.asarray(z, dtype=float)
+    z_arr, v_arr = np.broadcast_arrays(z_own, v_arr)
     shape = z_arr.shape
     z_arr, v_arr = z_arr.ravel(), v_arr.ravel()
     phi_z = v_arr - z_arr / c1 + R
@@ -298,28 +304,32 @@ def ballot_crossing_density(z, R: float, v, tilt: TiltedModel, params: ModelPara
         )
         dens = dens - t2
 
-    conv = np.zeros_like(z_arr)
-    has_conv = phi_z > v_arr + 1e-15
+    # z's own elements, as the trailing axes of the broadcast shape, and
+    # one row of starts for each
+    z_own = np.broadcast_to(z_own, shape[len(shape) - z_own.ndim:]).ravel()
+    v_rows = v_arr.reshape(-1, z_own.size)
+    g = R - z_own / c1
+    has_conv = g > 1e-15
+    conv = np.zeros(v_rows.shape)
     if np.any(has_conv):
-        zs = z_arr[has_conv]
-        ps = phi_z[has_conv]
-        vs = v_arr[has_conv]
+        zs = z_own[has_conv, None]
+        half = 0.5 * g[has_conv, None]
+        vs = v_rows[:, has_conv, None]
 
         def conv_at(n: int) -> np.ndarray:
-            # nodes w in (v, phi(z)) per z, all evaluated in one batch
             xg, wg = _leggauss(n)
-            half = 0.5 * (ps - vs)
-            w_nodes = (vs + half)[:, None] + half[:, None] * xg[None, :]
-            weights = half[:, None] * wg[None, :]
-            t_first = (R + vs)[:, None] - w_nodes
-            f_first = erlang_mixture_density(1, t_first, ps[:, None] - w_nodes, tilt, params)
-            f_entry = erlang_mixture_density(1, w_nodes - vs[:, None], w_nodes, tilt, params)
-            kern = zs[:, None] / (c1 * t_first)
-            return np.sum(weights * kern * f_first * f_entry, axis=1)
+            s = half * (1.0 + xg)
+            t_first = R - s
+            first = (
+                half * wg
+                * (zs / (c1 * t_first))
+                * erlang_mixture_density(1, t_first, half * (1.0 - xg), tilt, params)
+            )
+            return np.sum(first * erlang_mixture_density(1, s, vs + s, tilt, params), axis=-1)
 
-        conv[has_conv] = _doubling(conv_at, _BALLOT_TOL)[0]
+        conv[:, has_conv] = _doubling(conv_at, _BALLOT_TOL)[0]
 
-    out = (dens - conv) / c1
+    out = (dens - conv.ravel()) / c1
     return out.reshape(shape) if shape else float(out[0])
 
 
@@ -336,11 +346,23 @@ def v_q(y, spec: ImpulseSpec, tilt: TiltedModel, params: ModelParams):
     ``y`` is a level or an array of levels, and the result is the same
     kind.  An array is valued in passes of up to ``_LEVELS_PER_PASS``
     levels, so that a claim average costs a few array sweeps instead of a
-    Python call chain per claim node.  In a pass each rule holds a row of
-    z-nodes per level and each doubling judges the pass's levels jointly,
-    as the ballot convolution judges its z.  Passes rather than one sweep
-    over every level keep the widest array within ``_LEVEL_ELEMENTS``, so
-    batching does not raise peak memory.
+    Python call chain per claim node.  In a pass the first integral, over
+    ``[0, c1 R]``, holds one row of z-nodes for every level, so the ballot
+    convolution's factors that depend on z alone are computed once per
+    z-node; the second, over ``[c1 R, y + c2 R]``, holds a row per level.
+    Each doubling judges the pass's levels jointly, as the ballot
+    convolution judges its z.  Passes rather than one sweep over every
+    level keep the widest array within ``_LEVEL_ELEMENTS``, so batching
+    does not raise peak memory.
+
+    Every level is checked against the bracket
+    ``1 - psi(y - gap) <= v_q(y) <= 1 - psi(y)``, with ``psi`` the tilted
+    ruin probability and ``gap = u2 - u1``: company 2 staying above
+    ``gap`` keeps company 1 alive, and company 1 alive needs company 2
+    alive.  A level outside it by more than ``_V_Q_TOL`` raises
+    :class:`NonConvergenceError`; this is how a horizon ``R`` so long that
+    the node rules miss the crossing density (``c1`` close to ``c2``)
+    shows, where two near-zero sums would pass the doubling test.
     """
     gap = spec.u2 - spec.u1
     y_arr = np.asarray(y, dtype=float)
@@ -355,12 +377,29 @@ def v_q(y, spec: ImpulseSpec, tilt: TiltedModel, params: ModelParams):
         out = np.concatenate([
             _survival_pass(levels, gap, tilt, params)
             for levels in np.array_split(flat, max(1, -(-flat.size // _LEVELS_PER_PASS)))
-        ]).reshape(y_arr.shape)
+        ])
+        lo = 1.0 - tilted_ruin_probability(flat - gap, tilt, params)
+        hi = 1.0 - tilted_ruin_probability(flat, tilt, params)
+        bad = (out < lo - _V_Q_TOL) | (out > hi + _V_Q_TOL)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise NonConvergenceError(
+                f"survival functional {out[i]:.6g} at y={flat[i]:.6g} outside its bracket"
+                f" [{lo[i]:.6g}, {hi[i]:.6g}] at {int(bad.sum())} of {flat.size} levels"
+                f" (horizon R={gap / (params.c1 - params.c2):.6g})"
+            )
+        out = out.reshape(y_arr.shape)
     return float(out) if y_arr.ndim == 0 else out
 
 
 def _survival_pass(y: np.ndarray, gap: float, tilt: TiltedModel, params: ModelParams) -> np.ndarray:
-    """``v_q`` at the levels ``y``, the same formulas in one array sweep."""
+    """``v_q`` at the levels ``y``, the same formulas in one array sweep.
+
+    The first integral runs over ``[0, c1 R]`` at every level, so its
+    z-nodes are one row, and the ballot convolution's factor that depends
+    on z alone is computed once for the whole pass; only the entry density
+    and the start-dependent terms are computed per level.
+    """
     c1, c2 = params.c1, params.c2
     R = gap / (c1 - c2)
     v = (y - gap) / c1
@@ -374,11 +413,12 @@ def _survival_pass(y: np.ndarray, gap: float, tilt: TiltedModel, params: ModelPa
 
         return _doubling(rule, _V_Q_TOL / 2.0, n0=24)[0]
 
-    split = np.minimum(c1 * R, z_max)
+    # z_max >= c1 R at every level, up to rounding at y = u2 - u1
+    split = c1 * R
     total = integral(v, 0.0, split)
     tail = split < z_max  # empty at y = u2 - u1 only
     if np.any(tail):
-        total[tail] += integral(v[tail], split[tail], z_max[tail])
+        total[tail] += integral(v[tail], split, z_max[tail])
     atom = math.exp(-tilt.lambda_q * R)
     total += atom * (1.0 - tilted_ruin_probability(z_max, tilt, params))
     return total

@@ -47,6 +47,17 @@ def test_value_impulse_both_methods(capsys):
     assert "claim average runs over (0, u1]" in out  # integration-limit note
 
 
+@pytest.mark.parametrize("flags", [["--u1", "1", "--c1", "3.000001"],
+                                   ["--u1", "0.1", "--c1", "3.0001", "--q", "0.02", "--alpha", "5"]])
+def test_value_impulse_with_c1_near_c2_is_a_numerical_error(capsys, flags):
+    # printed V1 = 10.54422458 and 4.4522 with exit 0: the survival
+    # functional read about 1e-11 where its ruin bracket starts above 0.95
+    rc, out = run(capsys, ["value-impulse", "--u2", "2", "--cost", "0.5", *flags])
+    assert rc == 3
+    assert out.startswith("numerical error: survival functional ") and out.count("\n") == 1
+    assert "outside its bracket" in out
+
+
 def test_simulate_repeatable(capsys):
     argv = ["simulate", "barrier", "--paths", "1000", "--seed", "7",
             "--u1", "1", "--u2", "2", "--a", "0.1", "--b", "14"]

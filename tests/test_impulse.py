@@ -368,6 +368,64 @@ def test_ballot_with_an_array_of_starts_equals_its_scalar_calls(params, tilt):
         assert row.tolist() == ballot_crossing_density(zs, R, float(v), tilt, params).tolist()
 
 
+def _ballot_by_quad(z: float, R: float, v: float, tilt, params) -> float:
+    """The ballot density with its convolution over the first touch of zero
+    at ``w`` in ``(v, phi(z))``, integrated by SciPy's adaptive rule."""
+    c1 = params.c1
+    phi = v - z / c1 + R
+    f = lambda t, x: erlang_mixture_density(1, t, x, tilt, params)
+    dens = f(R, phi)
+    if z / c1 < R:
+        dens -= math.exp(-tilt.lambda_q * z / c1) * f(R - z / c1, phi)
+    if phi > v:
+        conv, _ = quad(
+            lambda w: z / (c1 * (R + v - w)) * f(R + v - w, phi - w) * f(w - v, w),
+            v, phi, epsabs=1e-13, epsrel=1e-12, limit=200,
+        )
+        dens -= conv
+    return dens / c1
+
+
+def test_ballot_matches_an_adaptive_convolution(params, tilt):
+    # z on both sides of c1 R = 4, where the convolution ends, in one row
+    # against a column of starts, so the factor shared between starts
+    # counts; and a start at zero, whose z ends at c1 R
+    R = 1.0
+    cases = [(np.array([0.05, 0.5, 2.0, 3.9, 4.0 + 1e-9, 4.3]), np.array([0.1, 0.25])),
+             (np.array([0.05, 1.0, 3.99]), np.array([0.0]))]
+    for z, starts in cases:
+        dens = ballot_crossing_density(z, R, starts[:, None], tilt, params)
+        for row, v in zip(dens, starts):
+            for zi, d in zip(z, row):
+                assert abs(d - _ballot_by_quad(zi, R, v, tilt, params)) < 1e-9, (zi, v)
+
+
+def test_vq_lies_in_its_ruin_bracket(params, tilt):
+    # 1 - psi(y - gap) <= v_q(y) <= 1 - psi(y), at both ends of the levels
+    for spec in (ImpulseSpec(1.0, 2.0, 0.5), ImpulseSpec(0.1, 2.0, 0.5)):
+        gap = spec.u2 - spec.u1
+        ys = np.linspace(gap, spec.u2, 7)
+        vals = v_q(ys, spec, tilt, params)
+        assert np.all(vals >= 1.0 - tilted_ruin_probability(ys - gap, tilt, params))
+        assert np.all(vals <= 1.0 - tilted_ruin_probability(ys, tilt, params))
+
+
+def test_vq_outside_its_ruin_bracket_is_a_numerical_error(params, tilt, monkeypatch):
+    spec = ImpulseSpec(1.0, 2.0, 0.5)
+    monkeypatch.setattr(impulse, "_survival_pass", lambda y, *args: np.zeros_like(y))
+    with pytest.raises(NonConvergenceError, match=r"bracket \[0\.\d+, 0\.\d+\] at 2 of 2 levels"):
+        v_q(np.array([1.5, 2.0]), spec, tilt, params)
+
+
+@pytest.mark.parametrize("c1, u1, q, alpha", [(3.000001, 1.0, 0.1, 2.0), (3.0001, 0.1, 0.02, 5.0)])
+def test_vq_at_a_horizon_its_nodes_miss_is_a_numerical_error(params, c1, u1, q, alpha):
+    # R = gap / (c1 - c2) of 1e6 and 19000: the z rules over [0, c1 R] miss
+    # the crossing density, and two near-zero sums passed the doubling
+    near = replace(params, c1=c1, q=q, claims=ExponentialClaims(alpha))
+    with pytest.raises(NonConvergenceError, match="outside its bracket"):
+        v_q(2.0, ImpulseSpec(u1, 2.0, 0.5), phi_inverse(near), near)
+
+
 def test_vq_matches_tilted_simulation(params, tilt):
     spec = ImpulseSpec(1.0, 2.0, 0.5)
     R = (spec.u2 - spec.u1) / (params.c1 - params.c2)
@@ -434,7 +492,7 @@ def test_low_case_degenerate_reset(params):
 # quadrature's array passes must keep every bit
 _LOW_CASE_BITS = {
     (0.5, 2.0, 2.0): (7.6420833798008445, 0.5551805092585609, 3.3993476372066276, 0.04463168101949872),
-    (1.0, 2.0, 2.0): (13.863326827751363, 0.7583278530753014, 3.3503799579814437, 0.10249827297100406),
+    (1.0, 2.0, 2.0): (13.863326827862732, 0.7583278530753014, 3.350379958008358, 0.10249827300061),
     (1.5, 2.0, 2.0): (20.593077888441233, 0.837479030595867, 3.3468069814442845, 0.14210114641644012),
     (1.999, 2.0, 2.0): (25.16341614855408, 0.8668416005800249, 3.3507202182802156, 0.16255512042725093),
     (1.0, 2.0, 0.6): (5.583021248062577, 0.3712691559252015, 3.5102176617819194, 0.06543746371897215),
@@ -447,6 +505,24 @@ def test_low_case_bits_are_pinned(params, u1, u2, alpha):
     assert (val.value, val.p, val.A, val.tau_integral) == _LOW_CASE_BITS[(u1, u2, alpha)]
 
 
+# the floats pinned before the ballot convolution computed its first-passage
+# factor once per z-node: the same sum, associated differently
+_LOW_CASE_BITS_PER_LEVEL_FACTOR = {
+    (1.0, 2.0, 2.0): (13.863326827751363, 0.7583278530753014, 3.3503799579814437, 0.10249827297100406),
+}
+
+
+@pytest.mark.parametrize("case", list(_LOW_CASE_BITS_PER_LEVEL_FACTOR))
+def test_repinned_low_case_moved_by_rounding_only(case):
+    value, p, A, tau = _LOW_CASE_BITS[case]
+    value0, p0, A0, tau0 = _LOW_CASE_BITS_PER_LEVEL_FACTOR[case]
+    assert value == pytest.approx(value0, rel=1e-10, abs=0.0)
+    assert p == pytest.approx(p0, rel=1e-10, abs=0.0)
+    assert A == pytest.approx(A0, rel=1e-10, abs=0.0)
+    # a central difference over 2h = 2e-5 magnifies the rounding
+    assert tau == pytest.approx(tau0, rel=0.0, abs=1e-10)
+
+
 def test_low_case_arrays_stay_within_the_element_budget(params, monkeypatch):
     sizes = []
     erlang = impulse.erlang_mixture_density
@@ -457,5 +533,6 @@ def test_low_case_arrays_stay_within_the_element_budget(params, monkeypatch):
 
     monkeypatch.setattr(impulse, "erlang_mixture_density", recording)
     impulse_v1_low(ImpulseSpec(1.0, 2.0, 0.5), params)
-    assert sum(sizes) == 1_297_296  # every node count as in one call per level
+    # 1,297,296 when the ballot's first-passage factor was computed per level
+    assert sum(sizes) == 744_336
     assert max(sizes) <= impulse._LEVEL_ELEMENTS
