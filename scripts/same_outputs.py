@@ -62,9 +62,11 @@ COMMANDS = [
                                    "--q", "0.02"]),
     ("value-impulse-below-alpha5", ["value-impulse", "--u1", "0.5", "--u2", "2", "--cost", "0.5",
                                     "--alpha", "5"]),
-    # error path: c1 so close to c2 that the node rules miss the crossing density
-    ("value-impulse-below-c1-near-c2", ["value-impulse", "--u1", "1", "--u2", "2", "--cost", "0.5",
-                                        "--c1", "3.000001"]),
+    # error paths: c1 so close to c2 that the node rules miss the crossing
+    # density, and a horizon (R = 1e5) at which they do not converge
+    *((f"value-impulse-below-c1-{c1}", ["value-impulse", "--u1", "1", "--u2", "2", "--cost", "0.5",
+                                        "--c1", c1])
+      for c1 in ("3.000001", "3.00001")),
     ("simulate-barrier", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "1", "--u2", "2",
                           "--a", "0.1", "--b", "14", "--trace", "path.csv"]),
     ("simulate-barrier-table3", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "0",

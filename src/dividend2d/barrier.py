@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gammas import GammaSequences, sequences_for
+from .gammas import GammaSequences, check_series_method, sequences_for
 from .impulse import adaptive_gauss
 from .model import (
     ON_LINE_TOL,
@@ -47,17 +47,8 @@ class BarrierValuation:
     sequences_ref: str
 
 
-def _check_method(barrier: BarrierSpec, params: ModelParams) -> None:
-    require_exponential(params.claims)
-    if not barrier.is_reflection(params):
-        raise AnalyticDomainError(
-            "series solution is derived for the reflection drift only; "
-            "use the simulator for general rates"
-        )
-
-
 def _check_domain(u: Reserves, barrier: BarrierSpec, params: ModelParams) -> None:
-    _check_method(barrier, params)
+    check_series_method(barrier, params)
     region = classify_point(u, barrier)
     if region == Region.OUTSIDE_QUADRANT:
         raise AnalyticDomainError(f"point {u} lies outside the positive quadrant")
@@ -147,7 +138,7 @@ def v1_values(
     bit; the truncation diagnostics are left out.  A point outside the
     series domain raises the error ``v1_barrier`` would raise for it.
     """
-    _check_method(barrier, params)
+    check_series_method(barrier, params)
     u1, u2 = np.broadcast_arrays(np.asarray(u1, dtype=float), np.asarray(u2, dtype=float))
     inside = (
         (u1 >= 0.0)
@@ -158,8 +149,7 @@ def v1_values(
     if not np.all(inside):
         i = np.flatnonzero(~inside)[0]
         u = Reserves(float(u1.flat[i]), float(u2.flat[i]))
-        _check_domain(u, barrier, params)
-        raise AnalyticDomainError(f"point {u} lies outside the series domain")
+        _check_domain(u, barrier, params)  # raises for every point the mask rejects
     alpha = require_exponential(params.claims).rate
     seqs = sequences if sequences is not None else sequences_for(barrier, params)
     t_base, t_primed = _terms(u1[..., None, None], u2[..., None, None], seqs, alpha)

@@ -284,6 +284,17 @@ def _primed_seed(g2_primed0: float, b: float) -> float:
         ) from None
 
 
+def check_series_method(barrier: BarrierSpec, params: ModelParams) -> None:
+    """Raise unless the series applies: exponential claims and the
+    reflection drift."""
+    require_exponential(params.claims)
+    if not barrier.is_reflection(params):
+        raise AnalyticDomainError(
+            "series solution is derived for the reflection drift delta = (c1 + 1, c2 - a)"
+            " only; use the simulator for general rates"
+        )
+
+
 @lru_cache(maxsize=128)
 def _slope(a: float, params: ModelParams) -> _Slope:
     """The families at slope ``a``, shared by every barrier of that slope."""
@@ -318,11 +329,7 @@ def build_sequences(
     is 0); otherwise ``NonConvergenceError`` is raised, naming an overflow
     when the bound or a corner sum is not finite.
     """
-    require_exponential(params.claims)
-    if not barrier.is_reflection(params):
-        raise ParameterError(
-            ["series solution needs the reflection drift delta = (c1 + 1, c2 - a)"]
-        )
+    check_series_method(barrier, params)
     a, b = float(barrier.a), float(barrier.b)
     if not 2 <= min_terms <= _MAX_TERMS:
         raise ParameterError([f"need 2 <= min_terms <= {_MAX_TERMS}, got {min_terms}"])

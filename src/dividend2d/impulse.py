@@ -360,9 +360,10 @@ def v_q(y, spec: ImpulseSpec, tilt: TiltedModel, params: ModelParams):
     ruin probability and ``gap = u2 - u1``: company 2 staying above
     ``gap`` keeps company 1 alive, and company 1 alive needs company 2
     alive.  A level outside it by more than ``_V_Q_TOL`` raises
-    :class:`NonConvergenceError`; this is how a horizon ``R`` so long that
-    the node rules miss the crossing density (``c1`` close to ``c2``)
-    shows, where two near-zero sums would pass the doubling test.
+    :class:`NonConvergenceError`, as does a pass whose node rules do not
+    converge; this is how a horizon ``R`` so long that the node rules miss
+    the crossing density (``c1`` close to ``c2``) shows, where two
+    near-zero sums would pass the doubling test.  Both messages name ``R``.
     """
     gap = spec.u2 - spec.u1
     y_arr = np.asarray(y, dtype=float)
@@ -374,10 +375,16 @@ def v_q(y, spec: ImpulseSpec, tilt: TiltedModel, params: ModelParams):
         out = 1.0 - tilted_ruin_probability(y_arr, tilt, params)
     else:
         flat = y_arr.ravel()
-        out = np.concatenate([
-            _survival_pass(levels, gap, tilt, params)
-            for levels in np.array_split(flat, max(1, -(-flat.size // _LEVELS_PER_PASS)))
-        ])
+        horizon = f"(horizon R={gap / (params.c1 - params.c2):.6g})"
+        try:
+            out = np.concatenate([
+                _survival_pass(levels, gap, tilt, params)
+                for levels in np.array_split(flat, max(1, -(-flat.size // _LEVELS_PER_PASS)))
+            ])
+        except NonConvergenceError as exc:
+            raise NonConvergenceError(
+                f"survival functional failed on {flat.size} levels {horizon}: {exc}"
+            ) from exc
         lo = 1.0 - tilted_ruin_probability(flat - gap, tilt, params)
         hi = 1.0 - tilted_ruin_probability(flat, tilt, params)
         bad = (out < lo - _V_Q_TOL) | (out > hi + _V_Q_TOL)
@@ -385,8 +392,7 @@ def v_q(y, spec: ImpulseSpec, tilt: TiltedModel, params: ModelParams):
             i = int(np.argmax(bad))
             raise NonConvergenceError(
                 f"survival functional {out[i]:.6g} at y={flat[i]:.6g} outside its bracket"
-                f" [{lo[i]:.6g}, {hi[i]:.6g}] at {int(bad.sum())} of {flat.size} levels"
-                f" (horizon R={gap / (params.c1 - params.c2):.6g})"
+                f" [{lo[i]:.6g}, {hi[i]:.6g}] at {int(bad.sum())} of {flat.size} levels {horizon}"
             )
         out = out.reshape(y_arr.shape)
     return float(out) if y_arr.ndim == 0 else out
@@ -441,7 +447,9 @@ def crossing_transform(
 def _transform_claim_integral(
     qq: float, spec: ImpulseSpec, params: ModelParams, n_nodes: int
 ) -> float:
-    """int_0^{u1} crossing_transform(x) alpha e^{-alpha x} dx at discount qq.
+    """int_0^{u1} e^{-phi x} V^q(u2-x) / V^q(u2) alpha e^{-alpha x} dx at
+    discount qq: the tilted identity for the discounted transform of
+    reaching u2 before ruin after a claim of x, averaged over the claim.
 
     The upper limit is u1: a first claim larger than u1 ruins company 1
     immediately, so larger claims cannot contribute a completed cycle.

@@ -92,12 +92,11 @@ from .model import (
 )
 from .impulse import ImpulseSpec
 
-#: path-status codes shared by the kernels
-_DONE, _CENSORED, _NEED_MORE = 0, 1, 2
-
-#: ruin causes: company 1's reserve went negative (company 2's may have
-#: too), or company 2's alone
-_RUIN_C1, _RUIN_C2 = 1, 2
+#: a path's end code: still running, ruined by company 1's reserve going
+#: negative (company 2's may have too) or by company 2's alone, or
+#: censored; and, below _RUNNING as it ends no path, the barrier kernel's
+#: code for a payout step that descends onto the line
+_RUNNING, _RUIN_C1, _RUIN_C2, _CENSORED, _ONTO_LINE = 0, 1, 2, 3, -1
 
 #: a block's per-path D, sigma, censored mask and ruin cause (0 when
 #: censored), in path order
@@ -333,15 +332,19 @@ class _Block:
     def __init__(self, n: int):
         self.D = np.zeros(n)
         self.sigma = np.zeros(n)
-        self.status = np.full(n, _NEED_MORE)
-        self.cause = np.zeros(n, dtype=np.int8)
+        self.end = np.full(n, _RUNNING, dtype=np.int8)
         self.live = np.arange(n)  # positions of the running paths
         self.t = np.zeros(n)
         self.paid = np.zeros(n)
         self.columns = 0  # columns consumed by the running paths
 
+    def finish(self, idx, D, sigma, end) -> None:
+        """End the paths ``idx``: the one writer of their D, sigma and end code."""
+        self.D[idx], self.sigma[idx], self.end[idx] = D, sigma, end
+
     def results(self) -> _Results:
-        return self.D, self.sigma, self.status == _CENSORED, self.cause
+        censored = self.end == _CENSORED
+        return self.D, self.sigma, censored, np.where(censored, np.int8(0), self.end)
 
 
 def _rows_to_keep(alive: np.ndarray, finished: int, end: bool) -> np.ndarray | None:
@@ -391,9 +394,9 @@ def _barrier_kernel(
 
     Row ``j`` of ``ts``/``xs`` holds the next waiting times and claim
     sizes of the block's ``j``-th running path, which resumes where it
-    stopped.  Returns the block: paths that ruin or are censored get their
-    D, sigma, status and ruin cause; the others stay running
-    (``_NEED_MORE``).
+    stopped.  Returns the block: paths that ruin or are censored are
+    finished with their D, sigma and end code; the others stay
+    ``_RUNNING``.
 
     Paths move in lockstep, one inter-claim interval at a time.  Within an
     interval each path takes flow segments, each advanced to the earliest
@@ -450,16 +453,11 @@ def _barrier_kernel(
     alive = np.ones(live.size, dtype=bool)
     running = live.size  # running paths at the last compaction
 
-    def finish(pos, code, fin, cause=0):
+    def finish(pos, fin, end):
         sel = pos[fin]
-        if not sel.size:
-            return
-        idx = live[sel]
-        block.D[idx] = D[sel]
-        block.sigma[idx] = t[sel]
-        block.status[idx] = code
-        block.cause[idx] = cause if np.isscalar(cause) else cause[fin]
-        alive[sel] = False
+        if sel.size:
+            block.finish(live[sel], D[sel], t[sel], end if np.isscalar(end) else end[fin])
+            alive[sel] = False
 
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(ts.shape[1]):
@@ -487,7 +485,7 @@ def _barrier_kernel(
                     censored = T >= max_time
                     note(hit, 1, T, Y1, Y2)
                     note(censored, 5, T, Y1, Y2)
-                    finish(low, _CENSORED, censored)
+                    finish(low, censored, _CENSORED)
                     # a hit leaves time (t_hit < R) and y2 = b - a*y1 exactly
                     pos = np.concatenate((pos, low[:n][(hit & ~censored)[:n]]))
                 if not pos.size:
@@ -502,35 +500,34 @@ def _barrier_kernel(
                     sliding = f <= tol
                     w1, w2, pay = (np.where(sliding, s, w) for s, w in zip(slide, (v1b, v2b, d0)))
                 dt = R
-                kind = np.zeros(pos.size, dtype=np.int8)
-                for cause, w, y, lowest in ((_RUIN_C1, w1, Y1, min(v1b, slide[0])),
-                                            (_RUIN_C2, w2, Y2, min(v2b, slide[1]))):
+                kind = np.full(pos.size, _RUNNING, dtype=np.int8)
+                for end, w, y, lowest in ((_RUIN_C1, w1, Y1, min(v1b, slide[0])),
+                                          (_RUIN_C2, w2, Y2, min(v2b, slide[1]))):
                     if lowest < 0.0:  # a drift that is never negative crosses no axis
                         tt = y / -w
                         earlier = (w < 0.0) & (tt < dt)
                         dt = np.where(earlier, tt, dt)
-                        kind[earlier] = -cause  # this company's axis crossing
+                        kind[earlier] = end  # this company's axis crossing
                 if attracts:
                     tt = f / -rate_f  # descends onto the line, then slides
                     earlier = ~sliding & (tt < dt)
                     dt = np.where(earlier, tt, dt)
-                    kind[earlier] = 2
+                    kind[earlier] = _ONTO_LINE
                 late = T + dt > max_time
                 dt = np.where(late, max_time - T, dt)
-                kind[late] = 3
+                kind[late] = _CENSORED
                 A = A + pay * (np.exp(-q * T) - np.exp(-q * (T + dt))) / q
                 Y1, Y2 = Y1 + w1 * dt, Y2 + w2 * dt
                 if attracts:
-                    Y2 = np.where(kind == 2, b - a * Y1, Y2)
+                    Y2 = np.where(kind == _ONTO_LINE, b - a * Y1, Y2)
                 T, R = T + dt, R - dt
                 y1[pos], y2[pos], t[pos], D[pos], rem[pos] = Y1, Y2, T, A, R
-                ruined, censored = kind < 0, kind == 3
-                note(kind == 2, 2, T, Y1, Y2)
-                note(ruined, 4, T, Y1, Y2)
-                note(censored, 5, T, Y1, Y2)
-                finish(pos, _DONE, ruined, -kind)
-                finish(pos, _CENSORED, censored)
-                pos = pos[:n][(~(ruined | censored) & (R > 0.0))[:n]]
+                ended = kind > _RUNNING
+                note(kind == _ONTO_LINE, 2, T, Y1, Y2)
+                note(ended & (kind != _CENSORED), 4, T, Y1, Y2)
+                note(kind == _CENSORED, 5, T, Y1, Y2)
+                finish(pos, ended, kind)
+                pos = pos[:n][(~ended & (R > 0.0))[:n]]
             if not alive.any():
                 break
             x = xs[rows, k]
@@ -539,7 +536,7 @@ def _barrier_kernel(
             note(True, 3, t, y1, y2)
             ruined = alive & ((y1 < 0.0) | (y2 < 0.0))
             note(ruined, 4, t, y1, y2)
-            finish(np.arange(live.size), _DONE, ruined, np.where(y1 < 0.0, _RUIN_C1, _RUIN_C2))
+            finish(np.arange(live.size), ruined, np.where(y1 < 0.0, _RUIN_C1, _RUIN_C2))
             still = int(np.count_nonzero(alive))
             keep = _rows_to_keep(alive, running - still, False)
             if keep is not None:
@@ -566,8 +563,7 @@ def _run_chunks(kernel, block: _Block, params: ModelParams, master_seed: int,
         block = kernel(ts, xs, block)
         block.columns += width
         width = min(2 * width, _MAX_COLUMNS)
-    live = block.live
-    block.D[live], block.sigma[live], block.status[live] = block.paid, block.t, _CENSORED
+    block.finish(block.live, block.paid, block.t, _CENSORED)
     return block.results()
 
 
@@ -606,9 +602,9 @@ def _impulse_loop(u1, u2, K, c1, c2, q, ts, xs, D=0.0, t=0.0, race=None):
     recovery race) and the claim that ends it.  A race wait in which
     company 2 reaches ``u2`` leaves its claim unread, and the next cycle,
     its wait being memoryless, starts on the next column.  Returns (D,
-    sigma, cause, race).  A cause of 0 means the columns ran out: the path
-    has read every one of them, and it resumes from the returned D, sigma
-    (as ``t``) and race on the next columns.  The loop runs on Python
+    sigma, end code, race).  ``_RUNNING`` means the columns ran out: the
+    path has read every one of them, and it resumes from the returned D,
+    sigma (as ``t``) and race on the next columns.  The loop runs on Python
     floats, with ``ts`` and ``xs`` lists or memoryviews: indexing either
     is cheaper than indexing an array.  Discount factors come from
     ``np.exp``, as in the lockstep loop of ``_impulse_kernel``, and every
@@ -622,7 +618,7 @@ def _impulse_loop(u1, u2, K, c1, c2, q, ts, xs, D=0.0, t=0.0, race=None):
     while True:
         if race is None:
             if it >= nt:
-                return D, t, 0, None
+                return D, t, _RUNNING, None
             t += ts[it]
             x = xs[it]
             it += 1
@@ -639,7 +635,7 @@ def _impulse_loop(u1, u2, K, c1, c2, q, ts, xs, D=0.0, t=0.0, race=None):
             (z, s), race = race, None
         while True:
             if it >= nt:
-                return D, t, 0, (z, s)
+                return D, t, _RUNNING, (z, s)
             t_reach = (u2 - z) / c2
             w2 = ts[it]
             it += 1
@@ -679,8 +675,8 @@ def _impulse_kernel(
 
     Row ``j`` of ``ts``/``xs`` holds the next waiting times and claim sizes
     of the block's ``j``-th running path.  Returns the block: paths that
-    ruin get their D, sigma (``t + s`` of the cycle that ruins), status
-    ``_DONE`` and ruin cause; the others stay running.  Neither loop
+    ruin are finished with their D, sigma (``t + s`` of the cycle that
+    ruins) and ruin code; the others stay ``_RUNNING``.  Neither loop
     censors: ``_run_chunks`` does, after ``_MAX_PATH_COLUMNS`` columns.
 
     In lockstep each path consumes one column per step, to start a cycle
@@ -729,12 +725,8 @@ def _impulse_kernel(
             ruined = np.where(racing, ~reach & (z < np.maximum(edge, 0.0)), x > mn) & alive
             if ruined.any():
                 fin = np.flatnonzero(ruined)
-                idx = live[fin]
                 first = np.where(racing[fin], z[fin] < edge[fin], x[fin] > u1)
-                block.D[idx] = D[fin]
-                block.sigma[idx] = t[fin] + s[fin]
-                block.status[idx] = _DONE
-                block.cause[idx] = np.where(first, _RUIN_C1, _RUIN_C2)
+                block.finish(live[fin], D[fin], t[fin] + s[fin], np.where(first, _RUIN_C1, _RUIN_C2))
                 alive[fin] = False
                 running -= fin.size
                 finished += fin.size
@@ -745,18 +737,17 @@ def _impulse_kernel(
         args = (u1, u2, K, c1, c2, q)
         state = zip(rows.tolist(), D.tolist(), t.tolist(), z.tolist(), s.tolist(), racing.tolist())
         for j, (r, D_j, t_j, z_j, s_j, racing_j) in enumerate(state):
-            D_j, t_j, cause, race = _impulse_loop(
+            D_j, t_j, end, race = _impulse_loop(
                 *args, memoryview(ts[r, k:]), memoryview(xs[r, k:]),
                 D_j, t_j, (z_j, s_j) if racing_j else None,
             )
-            if cause:
-                p = live[j]
-                block.D[p], block.sigma[p], block.status[p], block.cause[p] = D_j, t_j, _DONE, cause
+            if end != _RUNNING:
+                block.finish(live[j], D_j, t_j, end)
             else:
                 D[j], t[j], racing[j] = D_j, t_j, race is not None
                 if race is not None:
                     z[j], s[j] = race
-        keep = np.flatnonzero(block.status[live] == _NEED_MORE)
+        keep = np.flatnonzero(block.end[live] == _RUNNING)
         live, D, t, z, s, racing = (a[keep] for a in (live, D, t, z, s, racing))
     block.live, block.paid, block.t, block.z, block.s, block.racing = live, D, t, z, s, racing
     return block

@@ -58,6 +58,17 @@ def test_value_impulse_with_c1_near_c2_is_a_numerical_error(capsys, flags):
     assert "outside its bracket" in out
 
 
+def test_value_impulse_names_the_survival_functional_when_its_rules_fail(capsys):
+    # at c1 = 3.00001 (horizon R = 1e5) the z rules over [0, c1 R] do not
+    # converge, so the error comes before the bracket check and must still
+    # name the survival functional, its levels and R
+    rc, out = run(capsys, ["value-impulse", "--u1", "1", "--u2", "2", "--cost", "0.5",
+                           "--c1", "3.00001"])
+    assert rc == 3
+    assert out.startswith("numerical error: survival functional failed on ") and out.count("\n") == 1
+    assert " levels (horizon R=100000): node doubling not within " in out
+
+
 def test_simulate_repeatable(capsys):
     argv = ["simulate", "barrier", "--paths", "1000", "--seed", "7",
             "--u1", "1", "--u2", "2", "--a", "0.1", "--b", "14"]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import bisect
 from dividend2d import (
+    AnalyticDomainError,
     BarrierSpec,
     ExponentialClaims,
     ModelParams,
@@ -143,6 +144,15 @@ def test_nonconvergence_reported(params, barrier, max_terms):
 def test_min_terms_outside_the_term_range_is_rejected(params, barrier, min_terms):
     with pytest.raises(ParameterError, match="min_terms"):
         build_sequences(barrier, params, min_terms=min_terms)
+
+
+def test_general_drift_is_rejected_as_v1_barrier_rejects_it(params):
+    # the series rule is stated once: the sequences and the valuation both
+    # raise AnalyticDomainError for a barrier off the reflection drift
+    general = BarrierSpec(a=0.1, b=14.0, delta1=params.c1 + 2.0, delta2=1.0)
+    for build in (build_sequences, sequences_for):
+        with pytest.raises(AnalyticDomainError, match="reflection drift"):
+            build(general, params)
 
 
 def test_csv_round_trip(params, barrier):
