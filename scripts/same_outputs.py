@@ -73,6 +73,13 @@ COMMANDS = [
                                  "--u2", "0.2", "--a", "0.9", "--b", "1.8", "--trace", "path.csv"]),
     ("simulate-barrier-horizon", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "1",
                                   "--u2", "2", "--a", "0.1", "--b", "14", "--max-time", "3"]),
+    # error paths: a horizon at t = 0, rejected before the trace is written,
+    # and a horizon given to impulse paths, which have none
+    ("simulate-barrier-horizon0", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "1",
+                                   "--u2", "2", "--a", "0.1", "--b", "14", "--max-time", "0",
+                                   "--trace", "path.csv"]),
+    ("simulate-impulse-horizon", ["simulate", "impulse", *_SIM, "--seed", "9", "--u1", "3",
+                                  "--u2", "2", "--cost", "0.5", "--max-time", "5"]),
     ("simulate-barrier-alpha0.6", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "1",
                                    "--u2", "2", "--a", "0.1", "--b", "14", "--alpha", "0.6"]),
     ("simulate-barrier-u1-above-u2", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "3",

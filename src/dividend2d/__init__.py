@@ -21,7 +21,6 @@ from .impulse import (
     ImpulseSpec,
     ImpulseValuation,
     ballot_crossing_density,
-    crossing_transform,
     erlang_mixture_density,
     impulse_v1_high,
     impulse_v1_low,

@@ -143,7 +143,6 @@ def cmd_simulate(args) -> int:
     cfg = SimConfig(
         n_paths=args.paths,
         master_seed=args.seed,
-        max_time=args.max_time,
         moment_orders=orders,
     )
     if args.control == "barrier":
@@ -156,7 +155,7 @@ def cmd_simulate(args) -> int:
                 f"{t!r},{y1!r},{y2!r},{ev}\n" for t, y1, y2, ev in rows
             )
             _write(text, args.trace)
-        est = estimate_barrier_moments(Reserves(args.u1, args.u2), barrier, params, cfg)
+        est = estimate_barrier_moments(Reserves(args.u1, args.u2), barrier, params, cfg, args.max_time)
     else:
         spec = ImpulseSpec(u1=args.u1, u2=args.u2, K=args.cost)
         est = estimate_impulse_moments(spec, params, cfg)

@@ -430,20 +430,6 @@ def _survival_pass(y: np.ndarray, gap: float, tilt: TiltedModel, params: ModelPa
     return total
 
 
-def crossing_transform(
-    x: float, spec: ImpulseSpec, tilt: TiltedModel, params: ModelParams
-) -> float:
-    """Discounted transform of reaching u2 before ruin after a claim of x.
-
-    Identity under the tilted measure: ``e^{-phi x} V^q(u2-x) / V^q(u2)``.
-    """
-    return (
-        math.exp(-tilt.phi * x)
-        * v_q(spec.u2 - x, spec, tilt, params)
-        / v_q(spec.u2, spec, tilt, params)
-    )
-
-
 def _transform_claim_integral(
     qq: float, spec: ImpulseSpec, params: ModelParams, n_nodes: int
 ) -> float:

@@ -49,9 +49,10 @@ scalar loop on Python floats) and otherwise apply ``+ - * /`` and
 comparisons in the same order, so a path's bits do not depend on which
 loop ran which of its cycles.
 
-Each block's results reach the moment reduction as arrays, whose sums add
-one path at a time in path order, so an estimate does not depend on how
-its paths are split into blocks, nor on where each block runs.  An
+A finished block is its paths' result, which a worker sends back whole.
+The moment reduction reads its arrays by name and adds one path at a
+time in path order, so an estimate does not depend on how its paths are
+split into blocks, nor on where each block runs.  An
 estimate runs on every core the process may use: the calling process
 takes every ``n``-th block and ``n - 1`` forked worker processes the
 others, in one pool made on first use and kept for the life of the
@@ -97,10 +98,6 @@ from .impulse import ImpulseSpec
 #: censored; and, below _RUNNING as it ends no path, the barrier kernel's
 #: code for a payout step that descends onto the line
 _RUNNING, _RUIN_C1, _RUIN_C2, _CENSORED, _ONTO_LINE = 0, 1, 2, 3, -1
-
-#: a block's per-path D, sigma, censored mask and ruin cause (0 when
-#: censored), in path order
-_Results = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 #: trace event codes -> labels for the CSV surface
 TRACE_EVENTS = {
@@ -148,11 +145,11 @@ _LO32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Path count, seeding, horizon and which moments to estimate."""
+    """Path count, seeding and which moments to estimate.  A barrier
+    estimate takes its horizon as an argument; impulse paths have none."""
 
     n_paths: int
     master_seed: int
-    max_time: float | None = None
     moment_orders: tuple[int, ...] = (1,)
 
     def __post_init__(self):
@@ -162,8 +159,6 @@ class SimConfig:
         orders = tuple(_integer(n, "each moment order") for n in self.moment_orders)
         if n_paths < 1:
             raise ValueError(f"n_paths >= 1 required, got {n_paths}")
-        if self.max_time is not None and not self.max_time > 0.0:
-            raise ValueError(f"max_time > 0 required, got {self.max_time}")
         if not 0 <= seed < 2**64:
             raise ValueError(f"master_seed must lie in [0, 2**64), got {seed}")
         if not orders or any(n < 1 for n in orders):
@@ -210,7 +205,10 @@ def _barrier_horizon(
     u: Reserves, barrier: BarrierSpec, params: ModelParams, max_time: float | None
 ) -> float:
     """Check a barrier run from ``u`` and return its horizon: ``max_time``,
-    or ``default_max_time`` at the payout rate when that is None."""
+    or ``default_max_time`` at the payout rate when that is None.  The one
+    check of a horizon, made before those of the barrier and the start."""
+    if max_time is not None and not max_time > 0.0:
+        raise ValueError(f"max_time > 0 required, got {max_time}")
     validate_barrier(barrier, params)
     # the kernel tests ruin only after a claim, so a start outside the
     # quadrant would drift back in instead of counting as ruined
@@ -307,8 +305,12 @@ class PathStream:
     index: int
 
     def __post_init__(self):
-        if not (0 <= self.master_seed < 2**64 and 0 <= self.index < 2**64):
+        # as in SimConfig, a float would truncate to another seed or path
+        seed, index = _integer(self.master_seed, "master_seed"), _integer(self.index, "path index")
+        if not (0 <= seed < 2**64 and 0 <= index < 2**64):
             raise ValueError(f"seed and path index must lie in [0, 2**64), got {self}")
+        object.__setattr__(self, "master_seed", seed)
+        object.__setattr__(self, "index", index)
 
     def columns(self, params: ModelParams, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Waiting times and claim sizes in columns ``[start, stop)``."""
@@ -341,10 +343,6 @@ class _Block:
     def finish(self, idx, D, sigma, end) -> None:
         """End the paths ``idx``: the one writer of their D, sigma and end code."""
         self.D[idx], self.sigma[idx], self.end[idx] = D, sigma, end
-
-    def results(self) -> _Results:
-        censored = self.end == _CENSORED
-        return self.D, self.sigma, censored, np.where(censored, np.int8(0), self.end)
 
 
 def _rows_to_keep(alive: np.ndarray, finished: int, end: bool) -> np.ndarray | None:
@@ -548,13 +546,14 @@ def _barrier_kernel(
 
 
 def _run_chunks(kernel, block: _Block, params: ModelParams, master_seed: int,
-                paths: np.ndarray) -> _Results:
-    """Per-path results of ``block``, the block of paths ``paths``, run by
+                paths: np.ndarray) -> _Block:
+    """``block``, the block of paths ``paths``, finished: run by
     ``kernel(ts, xs, block)`` on chunks drawn for its running paths alone,
     the first ``_FILL_COUNTERS // len(paths)`` wide (1 to ``_MAX_COLUMNS``),
     then twice as wide each time, up to ``_MAX_COLUMNS``.  The last chunk
     ends at column ``_MAX_PATH_COLUMNS``, after which the paths still
-    running are censored with their payout and time so far."""
+    running are censored with their payout and time so far; they stay in
+    ``block.live``."""
     width = min(max(_FILL_COUNTERS // paths.size, 1), _MAX_COLUMNS)
     while block.live.size and block.columns < _MAX_PATH_COLUMNS:
         width = min(width, _MAX_PATH_COLUMNS - block.columns)
@@ -564,7 +563,7 @@ def _run_chunks(kernel, block: _Block, params: ModelParams, master_seed: int,
         block.columns += width
         width = min(2 * width, _MAX_COLUMNS)
     block.finish(block.live, block.paid, block.t, _CENSORED)
-    return block.results()
+    return block
 
 
 def _barrier_paths(
@@ -575,21 +574,21 @@ def _barrier_paths(
     master_seed: int,
     paths: np.ndarray,
     trace: list | None = None,
-) -> _Results:
-    """Per-path (D, sigma, censored, cause) arrays of barrier paths, run
-    from ``u`` as one block until each ruins or is censored.  ``trace`` (a
-    list, blocks of one path only) receives that path's event rows, ending
-    on a ``censored`` row also when ``_run_chunks`` censors it."""
+) -> _BarrierBlock:
+    """The finished block of barrier paths ``paths``, run from ``u`` until
+    each ruins or is censored, at ``max_time`` or by ``_run_chunks``.
+    ``trace`` (a list, blocks of one path only) receives that path's event
+    rows, ending on a ``censored`` row also when ``_run_chunks`` censors
+    it."""
     if trace is not None:
         if paths.size != 1:
             raise ValueError("tracing needs a block of one path")
         trace.append((0.0, float(u.u1), float(u.u2), 0))
     kernel = partial(_barrier_kernel, barrier, params, max_time, trace=trace)
-    block = _BarrierBlock(u, paths.size)
-    results = _run_chunks(kernel, block, params, master_seed, paths)
+    block = _run_chunks(kernel, _BarrierBlock(u, paths.size), params, master_seed, paths)
     if trace is not None and block.live.size:  # still running at the column cap
         trace.append((float(block.t[0]), float(block.y1[0]), float(block.y2[0]), 5))
-    return results
+    return block
 
 
 def _impulse_loop(u1, u2, K, c1, c2, q, ts, xs, D=0.0, t=0.0, race=None):
@@ -755,9 +754,9 @@ def _impulse_kernel(
 
 def _impulse_paths(
     spec: ImpulseSpec, params: ModelParams, master_seed: int, paths: np.ndarray
-) -> _Results:
-    """Per-path (D, sigma, censored, cause) arrays of impulse paths, run as
-    one block until each ruins or has read ``_MAX_PATH_COLUMNS`` columns.
+) -> _ImpulseBlock:
+    """The finished block of impulse paths ``paths``, run until each ruins
+    or is censored by ``_run_chunks`` after ``_MAX_PATH_COLUMNS`` columns.
 
     Each path consumes one column of its stream per wait, a wait and its
     claim, as a barrier path does.  An estimate's blocks hold at most
@@ -778,9 +777,10 @@ class PathResult:
     ruin_cause: int = 0  # _RUIN_C1, _RUIN_C2, or 0 when censored
 
 
-def _first_path(results: _Results) -> PathResult:
-    D, sigma, censored, cause = results
-    return PathResult(float(D[0]), float(sigma[0]), bool(censored[0]), int(cause[0]))
+def _first_path(block: _Block) -> PathResult:
+    end = int(block.end[0])
+    censored = end == _CENSORED
+    return PathResult(float(block.D[0]), float(block.sigma[0]), censored, 0 if censored else end)
 
 
 def simulate_refracted_path(
@@ -838,17 +838,18 @@ def _accumulate(
     cfg: SimConfig,
     payout_rate: float,
     params: ModelParams,
-    results: Iterable[_Results],
+    blocks: Iterable[_Block],
 ) -> DividendEstimate:
-    """Streaming moments of each block's per-path arrays, blocks in
-    path-index order.  Every sum adds its terms in path order, so the
-    estimate does not depend on how the paths are split into blocks."""
+    """Streaming moments of finished blocks, in path-index order.  Every
+    sum adds its terms in path order, so the estimate does not depend on
+    how the paths are split into blocks."""
     orders = tuple(sorted(set(cfg.moment_orders)))
     sums = {n: 0.0 for n in orders}
     sq_sums = {n: 0.0 for n in orders}
     ruin_sum, ruin_count, censored, company2 = 0.0, 0, 0, 0
     bias_sum = 0.0
-    for D, sigma, is_censored, cause in results:
+    for block in blocks:
+        D, sigma, is_censored = block.D, block.sigma, block.end == _CENSORED
         for n in orders:
             dn = np.power(D, n)
             sums[n] = _add_in_order(sums[n], dn)
@@ -856,7 +857,7 @@ def _accumulate(
         n_censored = int(np.count_nonzero(is_censored))
         censored += n_censored
         ruin_count += is_censored.size - n_censored
-        company2 += int(np.count_nonzero(cause == _RUIN_C2))
+        company2 += int(np.count_nonzero(block.end == _RUIN_C2))
         ruin_sum = _add_in_order(ruin_sum, sigma[~is_censored])
         tail = np.exp(-params.q * sigma[is_censored]) * payout_rate / params.q
         bias_sum = _add_in_order(bias_sum, tail)
@@ -917,7 +918,7 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _in_order(work, n_paths: int, size: int, forkable: bool) -> Iterator[_Results]:
+def _in_order(work, n_paths: int, size: int, forkable: bool) -> Iterator[_Block]:
     """``work(paths)`` for each block ``paths`` of consecutive path indices
     below ``n_paths``, yielded in path order.
 
@@ -966,10 +967,10 @@ def _in_order(work, n_paths: int, size: int, forkable: bool) -> Iterator[_Result
 
 
 def _estimate(work, cfg: SimConfig, payout_rate: float, params: ModelParams) -> DividendEstimate:
-    """Moments of ``work(paths)``'s results over ``cfg.n_paths`` paths."""
+    """Moments of the blocks ``work(paths)`` over ``cfg.n_paths`` paths."""
     forkable = type(params.claims) is ExponentialClaims
-    with closing(_in_order(work, cfg.n_paths, _BLOCK, forkable)) as results:
-        return _accumulate(cfg, payout_rate, params, results)
+    with closing(_in_order(work, cfg.n_paths, _BLOCK, forkable)) as blocks:
+        return _accumulate(cfg, payout_rate, params, blocks)
 
 
 def estimate_barrier_moments(
@@ -977,13 +978,15 @@ def estimate_barrier_moments(
     barrier: BarrierSpec,
     params: ModelParams,
     cfg: SimConfig,
+    max_time: float | None = None,
 ) -> DividendEstimate:
-    """Moments of D for the refracted control.
+    """Moments of D for the refracted control, each path censored at time
+    ``max_time`` (``default_max_time`` at the payout rate when None).
 
     The reported truncation bound is the exact censoring-tail bound
     e^{-q max_time} * delta0 / q scaled by the censored fraction.
     """
-    max_time = _barrier_horizon(u, barrier, params, cfg.max_time)
+    max_time = _barrier_horizon(u, barrier, params, max_time)
     work = partial(_barrier_paths, u, barrier, params, max_time, cfg.master_seed)
     return _estimate(work, cfg, barrier.delta0, params)
 
@@ -996,14 +999,8 @@ def estimate_impulse_moments(
     """Moments of D for the impulse control.
 
     The bias bound uses c1/q: every payout stream is dominated by paying
-    the larger premium forever.  A path runs until it ruins, censored only
-    once it has read ``_MAX_PATH_COLUMNS`` columns, not at a time horizon,
-    so ``cfg.max_time`` must be None.
+    the larger premium forever.  A path has no time horizon: it runs until
+    it ruins, censored only once it has read ``_MAX_PATH_COLUMNS`` columns.
     """
-    if cfg.max_time is not None:
-        raise ValueError(
-            "impulse paths are censored only by their column count; max_time must be None,"
-            f" got {cfg.max_time}"
-        )
     work = partial(_impulse_paths, spec, params, cfg.master_seed)
     return _estimate(work, cfg, params.c1, params)

@@ -16,7 +16,6 @@ from dividend2d import (
     ParameterError,
     SimConfig,
     ballot_crossing_density,
-    crossing_transform,
     erlang_mixture_density,
     estimate_impulse_moments,
     impulse_v1_high,
@@ -442,11 +441,13 @@ def test_vq_matches_tilted_simulation(params, tilt):
 
 def test_crossing_transform_matches_scale_ratio_when_flat(params, tilt):
     # with u1 = u2 the declining boundary vanishes and the tilted identity
-    # must collapse to the scale-function exit ratio
+    # for reaching u2 before ruin after a claim of x, e^{-phi x} V^q(u2 - x)
+    # / V^q(u2), must collapse to the scale-function exit ratio
     spec = ImpulseSpec(2.0, 2.0, 0.5)
     sp = scale_params(params)
     for x in (0.2, 0.9, 1.7):
-        lhs = crossing_transform(x, spec, tilt, params)
+        lhs = (math.exp(-tilt.phi * x) * v_q(spec.u2 - x, spec, tilt, params)
+               / v_q(spec.u2, spec, tilt, params))
         rhs = sp.w_q(2.0 - x) / sp.w_q(2.0)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 

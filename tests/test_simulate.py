@@ -29,11 +29,13 @@ from dividend2d import (
 from dividend2d import simulate
 from dividend2d.model import SampledClaims
 from dividend2d.simulate import (
+    _CENSORED,
     _MAX_COLUMNS,
     _RUIN_C1,
     _RUIN_C2,
     DividendEstimate,
     PathResult,
+    PathStream,
     _accumulate,
     _fill_streams,
     _impulse_loop,
@@ -43,6 +45,13 @@ from dividend2d.simulate import (
     _unit,
     default_max_time,
 )
+
+
+def _outcomes(block):
+    """A finished block's D, sigma, censored mask and ruin cause (0 when
+    censored)."""
+    censored = block.end == _CENSORED
+    return block.D, block.sigma, censored, np.where(censored, 0, block.end)
 
 
 def test_same_seed_is_bit_identical(params, barrier):
@@ -161,12 +170,9 @@ def test_default_horizon_bounds_bias(params, barrier):
 
 def test_censoring_bias_within_reported_bound(params, barrier):
     u = Reserves(1.0, 2.0)
-    short = estimate_barrier_moments(
-        u, barrier, params, SimConfig(n_paths=30_000, master_seed=8, max_time=25.0)
-    )
-    long = estimate_barrier_moments(
-        u, barrier, params, SimConfig(n_paths=30_000, master_seed=8, max_time=50.0)
-    )
+    cfg = SimConfig(n_paths=30_000, master_seed=8)
+    short = estimate_barrier_moments(u, barrier, params, cfg, max_time=25.0)
+    long = estimate_barrier_moments(u, barrier, params, cfg, max_time=50.0)
     assert short.n_censored > 0
     drift = long.moments[1][0] - short.moments[1][0]
     assert 0.0 <= drift < short.truncation_bias_bound
@@ -186,7 +192,9 @@ def test_barrier_paths_past_the_column_cap_are_censored_at_their_time(params, ba
     est = estimate_barrier_moments(u, barrier, params, cfg)
     horizon = default_max_time(params, barrier.delta0)
     paths = np.arange(cfg.n_paths)
-    D, sigma, censored, cause = simulate._barrier_paths(u, barrier, params, horizon, seed, paths)
+    D, sigma, censored, cause = _outcomes(
+        simulate._barrier_paths(u, barrier, params, horizon, seed, paths)
+    )
     assert 0 < est.n_censored == np.count_nonzero(censored) < cfg.n_paths
     assert not cause[censored].any() and (sigma[censored] < horizon).all()
     tail = np.exp(-params.q * sigma[censored]).sum() * barrier.delta0 / params.q / cfg.n_paths
@@ -297,8 +305,8 @@ def test_impulse_results_do_not_depend_on_the_handoff(params, monkeypatch, spec,
     for handoff in (0, simulate._HANDOFF, simulate._BLOCK + 1):
         monkeypatch.setattr(simulate, "_HANDOFF", handoff)
         est = estimate_impulse_moments(spec, model, cfg)
-        runs.append((_impulse_paths(spec, model, 31, paths), est,
-                     _impulse_paths(spec, model, 31, paths[:100])))
+        runs.append((_outcomes(_impulse_paths(spec, model, 31, paths)), est,
+                     _outcomes(_impulse_paths(spec, model, 31, paths[:100]))))
     lockstep, est, _ = runs[0]
     for results, other, small in runs:
         assert all(np.array_equal(a, b) for a, b in zip(lockstep, results))
@@ -343,20 +351,12 @@ def test_impulse_path_reads_the_claim_of_the_column_whose_wait_it_used(params, m
 
         monkeypatch.setattr(simulate, "_fill_streams", fill)
         monkeypatch.setattr(simulate, "_HANDOFF", handoff)
-        results = _impulse_paths(spec, params, 0, np.arange(1))
-        got_D, sigma, censored, cause = (a[0] for a in results)
+        block = _impulse_paths(spec, params, 0, np.arange(1))
+        got_D, sigma, censored, cause = (a[0] for a in _outcomes(block))
     # both cycles complete: no ruin, censored after _MAX_PATH_COLUMNS = 4
     assert (bool(censored), int(cause)) == (True, 0)
     assert float(got_D) == pytest.approx(D, rel=1e-12)
     assert float(sigma) == pytest.approx(t, rel=1e-12)
-
-
-def test_impulse_rejects_a_time_horizon(params):
-    # impulse paths are censored only by their column count; a horizon used
-    # to be ignored without a word
-    cfg = SimConfig(n_paths=10, master_seed=1, max_time=5.0)
-    with pytest.raises(ValueError, match="max_time must be None"):
-        estimate_impulse_moments(ImpulseSpec(3.0, 2.0, 0.5), params, cfg)
 
 
 def _loop_accumulate(cfg, payout_rate, params, blocks):
@@ -368,7 +368,7 @@ def _loop_accumulate(cfg, payout_rate, params, blocks):
     ruin_sum, ruin_count, censored, company2 = 0.0, 0, 0, 0
     bias_sum = 0.0
     for block in blocks:
-        for D, sigma, is_censored, cause in zip(*(a.tolist() for a in block)):
+        for D, sigma, is_censored, cause in zip(*(a.tolist() for a in _outcomes(block))):
             for n in orders:
                 dn = D**n
                 sums[n] += dn
@@ -402,15 +402,16 @@ def test_array_reduction_matches_the_per_path_loop(params):
     blocks = []
     for size in (1, 300, 7, 1000, 64):
         censored = rng.random(size) < 0.3
-        cause = np.where(censored, 0, rng.choice([_RUIN_C1, _RUIN_C2], size)).astype(np.int8)
+        end = np.where(censored, _CENSORED, rng.choice([_RUIN_C1, _RUIN_C2], size))
         D = rng.exponential(3.0, size) - 0.5
         sigma = np.where(censored, rng.uniform(20.0, 40.0, size), rng.exponential(5.0, size))
-        blocks.append((D, sigma, censored, cause))
-    n = sum(len(b[0]) for b in blocks)
+        blocks.append(simulate._Block(size))
+        blocks[-1].finish(slice(None), D, sigma, end)
+    n = sum(b.D.size for b in blocks)
     cfg = SimConfig(n_paths=n, master_seed=0, moment_orders=(3, 1, 2))
     got = _accumulate(cfg, 2.5, params, iter(blocks))
     want = _loop_accumulate(cfg, 2.5, params, blocks)
-    all_D = np.concatenate([b[0] for b in blocks])
+    all_D = np.concatenate([b.D for b in blocks])
     assert want.moments[1][0] * n != np.sum(all_D)  # pairwise sums give other bits here
     assert 0 < want.n_ruin_company2 < n - want.n_censored and 0 < want.n_censored < n
     # D**1 and D*D round the same in NumPy and libm, so order 1 is exact;
@@ -431,19 +432,18 @@ def test_estimates_do_not_depend_on_the_block_size(params, barrier, monkeypatch)
     # paths that ruin and paths cut off by the horizon, in blocks of the
     # default size and of 1000
     u = Reserves(1.0, 2.0)
-    bar_cfg = SimConfig(n_paths=2500, master_seed=14, max_time=10.0, moment_orders=(1, 2, 3))
-    imp_cfg = SimConfig(n_paths=2500, master_seed=14, moment_orders=(1, 2, 3))
+    cfg = SimConfig(n_paths=2500, master_seed=14, moment_orders=(1, 2, 3))
     spec = ImpulseSpec(3.0, 2.0, 0.5)
 
     def run():
         return (
-            estimate_barrier_moments(u, barrier, params, bar_cfg),
-            estimate_impulse_moments(spec, params, imp_cfg),
+            estimate_barrier_moments(u, barrier, params, cfg, max_time=10.0),
+            estimate_impulse_moments(spec, params, cfg),
         )
 
     default = run()
-    assert 0 < default[0].n_censored < bar_cfg.n_paths
-    assert simulate._BLOCK > bar_cfg.n_paths
+    assert 0 < default[0].n_censored < cfg.n_paths
+    assert simulate._BLOCK > cfg.n_paths
     monkeypatch.setattr(simulate, "_BLOCK", 1000)
     blocks, accumulate = [], simulate._accumulate
 
@@ -572,13 +572,14 @@ def test_barrier_estimates_keep_their_bits(u, a, b, deltas, alpha, expected):
 
 def test_short_horizon_censors_below_the_line_and_in_the_payout_set(params):
     u, bar, horizon = Reserves(0.4, 0.6), BarrierSpec.reflection(0.9, 1.8, params), 0.3
-    cfg = SimConfig(n_paths=2000, master_seed=7, max_time=horizon, moment_orders=(1, 2, 3))
-    assert estimate_barrier_moments(u, bar, params, cfg) == _pinned(
+    cfg = SimConfig(n_paths=2000, master_seed=7, moment_orders=(1, 2, 3))
+    assert estimate_barrier_moments(u, bar, params, cfg, horizon) == _pinned(
         (1.0408548424357176, 0.007685549567374355), (1.2015141473270188, 0.010591933712765126),
         (1.4101940454357267, 0.013626128497664643), 0.1260767567803889, 63.811700461067815, 1853)
     # a path censored in the payout set stops at the horizon; one censored
     # below the line runs on to its claim or to the line
-    _, sigma, censored, _ = simulate._barrier_paths(u, bar, params, horizon, 7, np.arange(2000))
+    _, sigma, censored, _ = _outcomes(simulate._barrier_paths(u, bar, params, horizon, 7,
+                                                              np.arange(2000)))
     assert np.count_nonzero(censored & (sigma == horizon)) == 1718
     assert np.count_nonzero(censored & (sigma > horizon)) == 135
 
@@ -644,10 +645,31 @@ def test_config_rejects_non_integers_and_no_moment_orders(kwargs, match):
 
 
 @pytest.mark.parametrize("max_time", [-5.0, 0.0, math.nan])
-def test_horizon_must_be_positive(max_time):
-    # a horizon at or before t = 0 censored every path and reported mean 0
-    with pytest.raises(ValueError, match="max_time > 0 required"):
-        SimConfig(n_paths=10, master_seed=1, max_time=max_time)
+def test_horizon_must_be_positive(params, barrier, max_time):
+    # a horizon at or before t = 0 censored every path with D = 0, and a NaN
+    # one censored none; single paths and traces took either unchecked.  The
+    # horizon is checked before the start
+    cfg = SimConfig(n_paths=10, master_seed=1)
+    for u in (Reserves(1.0, 2.0), Reserves(-1.0, 2.0)):
+        with pytest.raises(ValueError, match="max_time > 0 required"):
+            estimate_barrier_moments(u, barrier, params, cfg, max_time)
+        with pytest.raises(ValueError, match="max_time > 0 required"):
+            simulate_refracted_path(u, barrier, params, _path_rng(1, 0), max_time)
+        with pytest.raises(ValueError, match="max_time > 0 required"):
+            trace_refracted_path(u, barrier, params, 1, max_time)
+
+
+def test_path_stream_rejects_non_integers(params, barrier):
+    # PathStream(9.7, 2.5) ran as PathStream(9, 2), and a trace of seed 9.7
+    # traced seed 9
+    for seed, index, name in ((9.7, 2, "master_seed"), (9, 2.5, "path index")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            PathStream(seed, index)
+    with pytest.raises(ValueError, match="master_seed must be an integer"):
+        trace_refracted_path(Reserves(1.0, 2.0), barrier, params, seed=9.7)
+    # NumPy integers are integers, stored as ints
+    stream = PathStream(np.uint64(9), np.int64(2))
+    assert stream == PathStream(9, 2) and type(stream.master_seed) is type(stream.index) is int
 
 
 @pytest.mark.parametrize("u", [Reserves(-1.0, 2.0), Reserves(1.0, -0.5), Reserves(math.nan, 2.0),
@@ -740,16 +762,15 @@ def test_ruin_cause_company2_alone():
     # company 2 alone
     const = _constant_claims(2.0)
     bar = BarrierSpec.reflection(0.1, 100.0, const)
-    cfg = SimConfig(n_paths=3000, master_seed=6, max_time=20.0)
-    est = estimate_barrier_moments(Reserves(5.0, 1.0), bar, const, cfg)
+    cfg = SimConfig(n_paths=3000, master_seed=6)
+    est = estimate_barrier_moments(Reserves(5.0, 1.0), bar, const, cfg, max_time=20.0)
     assert est.n_ruin_company2 > 0
     assert est.n_ruin_company2 == cfg.n_paths - est.n_censored
-    path = simulate_refracted_path(Reserves(5.0, 1.0), bar, const, _path_rng(6, 0), cfg.max_time)
+    path = simulate_refracted_path(Reserves(5.0, 1.0), bar, const, _path_rng(6, 0), 20.0)
     assert path.ruin_cause in (0, _RUIN_C2) and path.censored == (path.ruin_cause == 0)
     # from (1, 2), a claim of 2 ruins company 1 first (or both at once)
-    short = SimConfig(n_paths=3000, master_seed=6, max_time=0.2)
-    est = estimate_barrier_moments(Reserves(1.0, 2.0), bar, const, short)
-    assert est.n_ruin_company2 == 0 and est.n_censored < short.n_paths
+    est = estimate_barrier_moments(Reserves(1.0, 2.0), bar, const, cfg, max_time=0.2)
+    assert est.n_ruin_company2 == 0 and est.n_censored < cfg.n_paths
 
 
 def test_impulse_ruin_cause_company2_alone():
@@ -855,19 +876,19 @@ def test_claims_changed_after_the_pool_started_give_the_same_estimate(params, ba
     # a module-level inverse CDF pickles by reference, so a worker forked
     # earlier would run it with the globals of its fork
     monkeypatch.setattr(simulate, "_BLOCK", 100)
-    u, cfg = Reserves(1.0, 2.0), SimConfig(n_paths=300, master_seed=12, max_time=20.0)
+    u, cfg = Reserves(1.0, 2.0), SimConfig(n_paths=300, master_seed=12)
     _cores(monkeypatch, 2)
-    estimate_barrier_moments(u, barrier, params, cfg)
+    estimate_barrier_moments(u, barrier, params, cfg, max_time=20.0)
     assert simulate._pool is not None
     model = ModelParams(c1=4.0, c2=3.0, lam=1.0, q=0.1,
                         claims=SampledClaims(inverse_cdf=_scaled_claims, mean_value=0.5))
     bar = BarrierSpec.reflection(0.1, 14.0, model)
-    before = estimate_barrier_moments(u, bar, model, cfg)
+    before = estimate_barrier_moments(u, bar, model, cfg, max_time=20.0)
     monkeypatch.setitem(globals(), "_CLAIM_SCALE", 0.25)
     runs = []
     for cores in (1, 2):
         _cores(monkeypatch, cores)
-        runs.append(estimate_barrier_moments(u, bar, model, cfg))
+        runs.append(estimate_barrier_moments(u, bar, model, cfg, max_time=20.0))
     assert runs[0] == runs[1] != before
 
 
