@@ -62,6 +62,10 @@ COMMANDS = [
                                    "--q", "0.02"]),
     ("value-impulse-below-alpha5", ["value-impulse", "--u1", "0.5", "--u2", "2", "--cost", "0.5",
                                     "--alpha", "5"]),
+    # a wide gap valued in many passes, and a claim interval so short that
+    # both differences in q are zero
+    ("value-impulse-below-wide", ["value-impulse", "--u1", "0.05", "--u2", "4", "--cost", "0.5"]),
+    ("value-impulse-below-1e-12", ["value-impulse", "--u1", "1e-12", "--u2", "2", "--cost", "0.5"]),
     # error paths: c1 so close to c2 that the node rules miss the crossing
     # density, and a horizon (R = 1e5) at which they do not converge
     *((f"value-impulse-below-c1-{c1}", ["value-impulse", "--u1", "1", "--u2", "2", "--cost", "0.5",

@@ -111,14 +111,22 @@ def _gauss_nodes(n: int, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * x, half * w
 
 
-def _doubling(rule: Callable[[int], float | np.ndarray], tol: float, n0: int = 16):
+def _doubling(
+    rule: Callable[[int], float | np.ndarray], tol: float, n0: int = 16, n: int | None = None
+):
     """``(rule(n), n)`` at the first of ``n0, 2*n0, ...`` that has converged.
 
     Converged means every element moved from the previous rule by at most
     ``tol`` (absolute) or ``_ROUNDING_RTOL`` of its size, below which
     rounding decides the difference whatever the node count.  Six
     doublings at most; raises on non-convergence.
+
+    Given a count ``n``, it returns ``(rule(n), n)`` without doubling: the
+    quadrature's shifted discount rates evaluate each rule once at the
+    count the base rate's doubling chose.
     """
+    if n is not None:
+        return rule(n), n
     n = n0
     prev = rule(n)
     for _ in range(6):
@@ -259,7 +267,9 @@ def tilted_ruin_probability(z, tilt: TiltedModel, params: ModelParams):
     return float(out) if out.ndim == 0 else out
 
 
-def ballot_crossing_density(z, R: float, v, tilt: TiltedModel, params: ModelParams):
+def ballot_crossing_density(
+    z, R: float, v, tilt: TiltedModel, params: ModelParams, nodes: list[int] | None = None
+):
     """Density in z of surviving to R with company 1 at level z.
 
     Company 1 starts at ``c1*v`` and must stay nonnegative up to the
@@ -279,6 +289,10 @@ def ballot_crossing_density(z, R: float, v, tilt: TiltedModel, params: ModelPara
     start; only the entry density at ``s`` up to ``v + s`` is broadcast
     against v.  It uses node-doubling quadrature with absolute tolerance
     ``_BALLOT_TOL``, judged jointly over every z and start of the call.
+
+    ``nodes``, a list, carries the convolution's node count: an empty list
+    receives the count the doubling chose, and a list holding a count has
+    the rule evaluated once at that count, without doubling.
     """
     if R <= 0.0:
         raise ValueError(f"horizon R must be positive, got {R}")
@@ -327,13 +341,21 @@ def ballot_crossing_density(z, R: float, v, tilt: TiltedModel, params: ModelPara
             )
             return np.sum(first * erlang_mixture_density(1, s, vs + s, tilt, params), axis=-1)
 
-        conv[:, has_conv] = _doubling(conv_at, _BALLOT_TOL)[0]
+        conv[:, has_conv], n = _doubling(conv_at, _BALLOT_TOL, n=nodes[0] if nodes else None)
+        if nodes == []:
+            nodes.append(n)
 
     out = (dens - conv.ravel()) / c1
     return out.reshape(shape) if shape else float(out[0])
 
 
-def v_q(y, spec: ImpulseSpec, tilt: TiltedModel, params: ModelParams):
+def v_q(
+    y,
+    spec: ImpulseSpec,
+    tilt: TiltedModel,
+    params: ModelParams,
+    plan: list[list[int]] | None = None,
+):
     """Tilted probability that the pair survives forever from level y.
 
     Company 2 sits at ``y`` and company 1 at ``y - (u2 - u1)``; survival
@@ -354,6 +376,12 @@ def v_q(y, spec: ImpulseSpec, tilt: TiltedModel, params: ModelParams):
     convolution judges its z.  Passes rather than one sweep over every
     level keep the widest array within ``_LEVEL_ELEMENTS``, so batching
     does not raise peak memory.
+
+    ``plan``, a list, carries each pass's node counts (see
+    :func:`_survival_pass`): a pass it has no counts for appends the ones
+    its doublings chose, and a pass it has counts for evaluates each rule
+    once at them.  So an empty list records the counts of one call, and a
+    later call on as many levels at another discount rate replays them.
 
     Every level is checked against the bracket
     ``1 - psi(y - gap) <= v_q(y) <= 1 - psi(y)``, with ``psi`` the tilted
@@ -376,10 +404,13 @@ def v_q(y, spec: ImpulseSpec, tilt: TiltedModel, params: ModelParams):
     else:
         flat = y_arr.ravel()
         horizon = f"(horizon R={gap / (params.c1 - params.c2):.6g})"
+        passes = np.array_split(flat, max(1, -(-flat.size // _LEVELS_PER_PASS)))
+        plan = [] if plan is None else plan
+        plan += [[] for _ in range(len(passes) - len(plan))]
         try:
             out = np.concatenate([
-                _survival_pass(levels, gap, tilt, params)
-                for levels in np.array_split(flat, max(1, -(-flat.size // _LEVELS_PER_PASS)))
+                _survival_pass(levels, gap, tilt, params, nodes)
+                for levels, nodes in zip(passes, plan)
             ])
         except NonConvergenceError as exc:
             raise NonConvergenceError(
@@ -398,40 +429,59 @@ def v_q(y, spec: ImpulseSpec, tilt: TiltedModel, params: ModelParams):
     return float(out) if y_arr.ndim == 0 else out
 
 
-def _survival_pass(y: np.ndarray, gap: float, tilt: TiltedModel, params: ModelParams) -> np.ndarray:
+def _survival_pass(
+    y: np.ndarray, gap: float, tilt: TiltedModel, params: ModelParams, nodes: list[int]
+) -> np.ndarray:
     """``v_q`` at the levels ``y``, the same formulas in one array sweep.
 
     The first integral runs over ``[0, c1 R]`` at every level, so its
     z-nodes are one row, and the ballot convolution's factor that depends
     on z alone is computed once for the whole pass; only the entry density
     and the start-dependent terms are computed per level.
+
+    ``nodes`` holds the pass's node counts: the first integral's z rule,
+    the ballot convolution inside the rule it converged at, and the tail
+    integral's z rule (None without a tail).  An empty list receives the
+    counts the doublings chose; a full one has each rule evaluated once,
+    at its count.
     """
     c1, c2 = params.c1, params.c2
     R = gap / (c1 - c2)
     v = (y - gap) / c1
     z_max = y + c2 * R
+    n_first, n_ballot, n_tail = nodes or (None, None, None)
 
-    def integral(v: np.ndarray, lo, hi) -> np.ndarray:
+    def integral(v: np.ndarray, lo, hi, n: int | None, n_ballot: int | None):
+        ballot = {}  # the ballot's node count in the rule at each z-node count
+
         def rule(n: int) -> np.ndarray:
             z, w = _gauss_nodes(n, lo, hi)
-            dens = ballot_crossing_density(z, R, v[:, None], tilt, params)
+            ballot[n] = [] if n_ballot is None else [n_ballot]
+            dens = ballot_crossing_density(z, R, v[:, None], tilt, params, ballot[n])
             return np.sum(w * (dens * (1.0 - tilted_ruin_probability(z, tilt, params))), axis=1)
 
-        return _doubling(rule, _V_Q_TOL / 2.0, n0=24)[0]
+        total, n = _doubling(rule, _V_Q_TOL / 2.0, n0=24, n=n)
+        return total, n, ballot[n][0] if ballot[n] else None
 
     # z_max >= c1 R at every level, up to rounding at y = u2 - u1
     split = c1 * R
-    total = integral(v, 0.0, split)
+    total, n_first, n_ballot = integral(v, 0.0, split, n_first, n_ballot)
     tail = split < z_max  # empty at y = u2 - u1 only
     if np.any(tail):
-        total[tail] += integral(v[tail], split, z_max[tail])
+        part, n_tail, _ = integral(v[tail], split, z_max[tail], n_tail, None)
+        total[tail] += part
+    nodes[:] = n_first, n_ballot, n_tail
     atom = math.exp(-tilt.lambda_q * R)
     total += atom * (1.0 - tilted_ruin_probability(z_max, tilt, params))
     return total
 
 
 def _transform_claim_integral(
-    qq: float, spec: ImpulseSpec, params: ModelParams, n_nodes: int
+    qq: float,
+    spec: ImpulseSpec,
+    params: ModelParams,
+    n_nodes: int,
+    plan: list[list[int]] | None = None,
 ) -> float:
     """int_0^{u1} e^{-phi x} V^q(u2-x) / V^q(u2) alpha e^{-alpha x} dx at
     discount qq: the tilted identity for the discounted transform of
@@ -441,12 +491,14 @@ def _transform_claim_integral(
     immediately, so larger claims cannot contribute a completed cycle.
     ``v_q`` is called once, on the ``n_nodes + 1`` levels ``u2`` and
     ``u2 - x`` at the nodes x, which it values a pass of levels at a time
-    rather than one Python call per node.
+    rather than one Python call per node.  ``plan`` goes to ``v_q``: an
+    empty list receives the node counts its passes chose, and the counts
+    recorded at the base rate fix them at a shifted one.
     """
     alpha = require_exponential(params.claims).rate
     tilt = phi_inverse(replace(params, q=qq))
     x, w = _gauss_nodes(n_nodes, 0.0, spec.u1)
-    v_u2, *v_nodes = v_q(np.concatenate(([spec.u2], spec.u2 - x)), spec, tilt, params)
+    v_u2, *v_nodes = v_q(np.concatenate(([spec.u2], spec.u2 - x)), spec, tilt, params, plan)
     # math.exp, not np.exp, whose last bit can differ
     vals = np.array(
         [math.exp(-tilt.phi * xi) * vi / v_u2 for xi, vi in zip(x, v_nodes)]
@@ -461,9 +513,12 @@ def impulse_v1_low(spec: ImpulseSpec, params: ModelParams) -> ImpulseValuation:
     by central differences in q of step ``h = 1e-4 * q`` of the
     claim-averaged crossing transform, Richardson-extrapolated once,
     rebuilding the tilted dynamics at each shifted discount rate.  The
-    claim-quadrature node count is fixed by doubling at the base rate and
-    reused at every q so the difference quotient is not polluted by node
-    changes.
+    base rate's doublings fix every node count for the difference
+    quotient: the claim nodes, and in each pass of the survival functional
+    the z-nodes of both integrals and the ballot convolution's nodes.  The
+    four shifted rates evaluate each rule once at those counts, so the
+    quotient is not polluted by node changes, and no rule is run at a
+    coarser count only to judge convergence there.
     """
     require_exponential(params.claims)
     if not spec.u1 <= spec.u2:
@@ -476,14 +531,20 @@ def impulse_v1_low(spec: ImpulseSpec, params: ModelParams) -> ImpulseValuation:
         return _renewal(0.0, 0.0, spec, params, method)
 
     lam, q = params.lam, params.q
-    base, n_nodes = _doubling(
-        lambda n: _transform_claim_integral(q, spec, params, n), _CLAIM_TOL
-    )
+    plans = {}  # claim-node count -> the node counts its survival passes chose
+
+    def claim_average(n: int) -> float:
+        plans[n] = []
+        return _transform_claim_integral(q, spec, params, n, plans[n])
+
+    base, n_nodes = _doubling(claim_average, _CLAIM_TOL)
     h = 1e-4 * q
-    at = lambda qq: _transform_claim_integral(qq, spec, params, n_nodes)
+    at = lambda qq: _transform_claim_integral(qq, spec, params, n_nodes, plans[n_nodes])
     d_h = (at(q + h) - at(q - h)) / (2.0 * h)
     d_h2 = (at(q + h / 2.0) - at(q - h / 2.0)) / h
-    tau_integral = -(4.0 * d_h2 - d_h) / 3.0
+    # + 0.0 turns the -0.0 of two zero differences into 0.0 and leaves
+    # every other float as it is
+    tau_integral = -(4.0 * d_h2 - d_h) / 3.0 + 0.0
     return _renewal(lam / (q + lam) * base, tau_integral, spec, params, method)
 
 

@@ -211,6 +211,11 @@ def test_doubling_waits_for_every_element():
     est, n = _doubling(rule, 5e-3)
     assert n == 256 and calls == [16, 32, 64, 128, 256]
     assert est[0] == 1.0 and est[1] == 1.0 + 1.0 / 256
+    # given a count, the rule runs once at it, converged or not
+    calls.clear()
+    est, n = _doubling(rule, 5e-3, n=64)
+    assert n == 64 and calls == [64]
+    assert est[1] == 1.0 + 1.0 / 64
 
 
 def test_adaptive_gauss_raises_on_a_kink():
@@ -534,6 +539,62 @@ def test_low_case_arrays_stay_within_the_element_budget(params, monkeypatch):
 
     monkeypatch.setattr(impulse, "erlang_mixture_density", recording)
     impulse_v1_low(ImpulseSpec(1.0, 2.0, 0.5), params)
-    # 1,297,296 when the ballot's first-passage factor was computed per level
-    assert sum(sizes) == 744_336
+    # 1,297,296 when the ballot's first-passage factor was computed per
+    # level, 744,336 when the shifted discount rates ran their own doublings
+    assert sum(sizes) == 450_672
     assert max(sizes) <= impulse._LEVEL_ELEMENTS
+
+
+def test_shifted_rates_evaluate_each_rule_once_per_pass(params, monkeypatch):
+    # each claim average at q +- h and q +- h/2 reuses the base rate's node
+    # counts: one ballot call for each pass's first integral and one for its
+    # tail, where a doubling makes at least two
+    calls = []  # [claim nodes, ballot calls] per claim average
+    ballot, transform = impulse.ballot_crossing_density, impulse._transform_claim_integral
+
+    def counting_ballot(*args):
+        calls[-1][1] += 1
+        return ballot(*args)
+
+    def counting_transform(qq, spec, params, n_nodes, *args):
+        calls.append([n_nodes, 0])
+        return transform(qq, spec, params, n_nodes, *args)
+
+    monkeypatch.setattr(impulse, "ballot_crossing_density", counting_ballot)
+    monkeypatch.setattr(impulse, "_transform_claim_integral", counting_transform)
+    impulse_v1_low(ImpulseSpec(1.0, 2.0, 0.5), params)
+    passes = lambda n: -(-(n + 1) // impulse._LEVELS_PER_PASS)
+    n_nodes = calls[-5][0]
+    assert passes(n_nodes) >= 2
+    assert calls[-4:] == [[n_nodes, 2 * passes(n_nodes)]] * 4
+    assert all(c >= 4 * passes(n) for n, c in calls[:-4])
+
+
+def test_planned_shifted_rate_equals_its_own_doubling(params):
+    # wherever the shifted rate's doublings choose the base rate's counts, a
+    # plan recorded at the base rate gives the same bits without them
+    spec = ImpulseSpec(1.0, 2.0, 0.5)
+    ys = np.linspace(1.0, 2.0, impulse._LEVELS_PER_PASS + 3)
+    plan = []
+    v_q(ys, spec, phi_inverse(params), params, plan)
+    assert len(plan) == 2 and all(len(nodes) == 3 for nodes in plan)
+    h = 1e-4 * params.q
+    for qq in (params.q - h, params.q + h / 2.0):
+        shifted = replace(params, q=qq)
+        tilt = phi_inverse(shifted)
+        assert v_q(ys, spec, tilt, params, plan).tolist() == v_q(ys, spec, tilt, params).tolist()
+    # and on a claim average's levels, recorded and replayed as the valuation does
+    claims = []
+    impulse._transform_claim_integral(params.q, spec, params, 32, claims)
+    assert len(claims) == 4
+    for qq in (params.q - h, params.q + h):
+        assert (impulse._transform_claim_integral(qq, spec, params, 32, claims)
+                == impulse._transform_claim_integral(qq, spec, params, 32))
+
+
+def test_low_case_tau_integral_has_no_negative_zero(params):
+    # a claim interval this short leaves both differences in q at zero,
+    # whose Richardson combination is -0.0
+    val = impulse_v1_low(ImpulseSpec(1e-12, 2.0, 0.5), params)
+    assert val.tau_integral == 0.0
+    assert math.copysign(1.0, val.tau_integral) == 1.0
