@@ -39,6 +39,16 @@ COMMANDS = [
                              "--b-grid", "6,8,14,15,20,28", "--out", "sweep.csv"]),
     ("optimize-alpha0.6", ["optimize", "--u1", "1", "--u2", "2", "--a-grid", "0.05,0.15,0.3,0.7",
                            "--b-grid", "5,9,12,17,24", "--alpha", "0.6", "--out", "sweep.csv"]),
+    # sweeps through each error path: a slope whose step fails beside a primed
+    # seed that overflows first (exit 2), every cell cancelling below its
+    # rounding (exit 3), and no barrier (a >= c2, a NaN slope) or a start
+    # above the line beside a valid cell
+    ("optimize-c1e100", ["optimize", "--u1", "1", "--u2", "2", "--a-grid", "0.1",
+                         "--b-grid", "14,800", "--c1", "1e100", "--out", "sweep.csv"]),
+    ("optimize-q1e-16", ["optimize", "--u1", "1", "--u2", "2", "--a-grid", "0.1,0.2,0.5,1",
+                         "--b-grid", "6,14,28", "--q", "1e-16", "--out", "sweep.csv"]),
+    ("optimize-invalid", ["optimize", "--u1", "1", "--u2", "2", "--a-grid", "0.1,3,3.5,nan",
+                          "--b-grid", "1.5,14", "--out", "sweep.csv"]),
     ("value-barrier-table1", ["value-barrier", "--u1", "1", "--u2", "2", "--a", "0.1", "--b", "14"]),
     ("value-barrier-table3", ["value-barrier", "--u1", "0.4", "--u2", "0.6", "--a", "0.9",
                               "--b", "1.8"]),

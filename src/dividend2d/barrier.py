@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gammas import GammaSequences, check_series_method, sequences_for
+from .gammas import (
+    GammaSequences,
+    SequenceRow,
+    build_row,
+    check_series_method,
+    sequence_key,
+    sequences_for,
+)
 from .impulse import adaptive_gauss
 from .model import (
     ON_LINE_TOL,
@@ -28,11 +35,13 @@ from .model import (
     ParameterError,
     Region,
     Reserves,
+    UnsupportedDistributionError,
     classify_point,
     require_exponential,
 )
 
 _INTEGRAL_TOL = 1e-10  # absolute, for the claim integral in the PIDE residual
+_TOL = 1e-12  # default tolerance of the truncation diagnostics, the one sweeps use
 
 
 class StencilError(ValueError):
@@ -68,12 +77,17 @@ def _check_domain(u: Reserves, barrier: BarrierSpec, params: ModelParams) -> Non
         raise AnalyticDomainError(f"series converges only for u2 <= b ({u.u2} > {barrier.b})")
 
 
-def _terms(u1, u2, seqs: GammaSequences, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def _terms(
+    u1, u2, seqs: GammaSequences | SequenceRow, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Base and primed series terms at ``(u1, u2)``, shaped ``(..., terms)``.
 
-    ``u1`` and ``u2`` are floats or arrays of shape ``(..., 1, 1)``.  Each
-    point's terms are contiguous, so summing along the last axis adds them
-    in the same order however many points are evaluated together.
+    ``u1`` and ``u2`` are floats or arrays of shape ``(..., 1, 1)``; a
+    :class:`SequenceRow` adds its barrier axis in front of the terms.
+    ``exp(g1*u1) - rho*exp(g3*u1)`` depends on the slope alone, so a row
+    computes it once for all its barriers.  Each point's terms are
+    contiguous, so summing along the last axis adds them in the same order
+    however many points or barriers are evaluated together.
     """
     g1, g2, g3 = seqs.g1, seqs.g2, seqs.g3
     rho = (g3 + g2 + alpha) / (g1 + g2 + alpha)
@@ -85,11 +99,27 @@ def _terms(u1, u2, seqs: GammaSequences, alpha: float) -> tuple[np.ndarray, np.n
     return terms[..., 0, :], seqs.E * terms[..., 1, :]
 
 
+def _truncation(t_base: np.ndarray, t_primed: np.ndarray, tol: float) -> tuple:
+    """The last term used and the tail estimate, along the last axis.
+
+    The last term used is the index of the first term whose size is within
+    ``tol`` of the running sum, or of the last term when none is; the tail
+    is the size of the last term.  (Positional axes: on ~12 terms keyword
+    parsing and the ``+ 1`` of ``terms_used`` on a NumPy scalar are a
+    visible share of a point's cost.)
+    """
+    combined = np.abs(t_base) + np.abs(t_primed)
+    partial = (t_base + t_primed).cumsum(-1)
+    small = combined <= tol * np.maximum(np.abs(partial), 1e-300)
+    small[..., -1] = True  # no small term: every term is used
+    return small.argmax(-1), combined[..., -1]
+
+
 def v1_barrier(
     u: Reserves,
     barrier: BarrierSpec,
     params: ModelParams,
-    tol: float = 1e-12,
+    tol: float = _TOL,
     sequences: GammaSequences | None = None,
 ) -> BarrierValuation:
     """Expected discounted dividends until ruin, started below the barrier.
@@ -109,20 +139,56 @@ def v1_barrier(
     # array methods, not np.sum and friends: the same reductions without
     # the dispatch layer, which costs more than the sums on ~12 terms
     value = float(t_base.sum() + t_primed.sum())
-
-    combined = np.abs(t_base) + np.abs(t_primed)
-    partial = (t_base + t_primed).cumsum()
-    scale = np.maximum(np.abs(partial), 1e-300)
-    small = combined <= tol * scale
-    below = small.nonzero()[0]
-    terms_used = int(below[0]) + 1 if below.size else len(combined)
-    tail = float(combined[-1])
+    last, tail = _truncation(t_base, t_primed, tol)
     return BarrierValuation(
         value=value,
-        terms_used=terms_used,
-        tail_estimate=tail,
+        terms_used=int(last) + 1,
+        tail_estimate=float(tail),
         sequences_ref=seqs.key,
     )
+
+
+def v1_row(
+    u: Reserves,
+    barriers: list[BarrierSpec],
+    params: ModelParams,
+) -> list[BarrierValuation | Exception]:
+    """:func:`v1_barrier` at barriers of one slope, in one array pass.
+
+    Entry ``i`` is ``v1_barrier(u, barriers[i], params)``, bit for bit,
+    or the error that call raises for its point or series: each
+    barrier is checked against ``u``, then :func:`build_row` builds every
+    checked barrier's coefficients at once and the terms of all of them
+    are summed together.  A row does not read or fill ``sequences_for``'s
+    cache; the slope's families are shared through their own cache.
+    """
+    out: list = [None] * len(barriers)
+    for i, barrier in enumerate(barriers):
+        try:
+            _check_domain(u, barrier, params)
+        except (AnalyticDomainError, UnsupportedDistributionError) as exc:
+            out[i] = exc
+    at = [i for i, res in enumerate(out) if res is None]
+    if not at:
+        return out
+    row = build_row([barriers[i] for i in at], params)
+    for j, i in enumerate(at):
+        out[i] = row.errors[j]
+    if all(row.errors):  # then the row holds no terms
+        return out
+    t_base, t_primed = _terms(u.u1, u.u2, row, require_exponential(params.claims).rate)
+    values = (t_base.sum(axis=-1) + t_primed.sum(axis=-1)).tolist()
+    last, tails = (x.tolist() for x in _truncation(t_base, t_primed, _TOL))
+    terms = row.g2.shape[1]
+    for j, i in enumerate(at):
+        if row.errors[j] is None:
+            out[i] = BarrierValuation(
+                value=values[j],
+                terms_used=last[j] + 1,
+                tail_estimate=tails[j],
+                sequences_ref=sequence_key(row.a, float(barriers[i].b), terms),
+            )
+    return out
 
 
 def v1_values(

@@ -14,9 +14,12 @@ families are built once by the scalar recursion and cached as arrays,
 grown only when a barrier needs more terms.  A barrier's height ``b`` and
 payout rate ``delta0`` enter through the two seeds of the coefficients
 alone, which scale every term of a family alike, so the slope decides
-where every barrier's series ends.  Each barrier takes one array pass over
-its kept terms: a cumulative product of the slope's step factors from its
-seeds, then cumulative corner sums for the matching constant E.
+where every barrier's series ends.  The barriers of one slope take one
+array pass over their kept terms, the barrier axis leading: a cumulative
+product of the slope's step factors from each barrier's seeds, then
+cumulative corner sums for each matching constant E (``build_row``).  A
+single barrier's sequences are that pass over a row of one
+(``build_sequences``).
 
 Raw ``D_k`` coefficients underflow for large k because they carry
 ``exp(-g2*b)``; all arithmetic therefore runs on the rescaled
@@ -29,7 +32,8 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -103,10 +107,16 @@ class GammaSequences:
         rec.flags.writeable = False
         return rec
 
-    @property
+    @cached_property
     def key(self) -> str:
-        """Identifier for valuations produced from these sequences."""
-        return f"gamma[a={self.a!r},b={self.b!r},terms={self.g2.shape[1]}]"
+        """Identifier for valuations produced from these sequences (made once:
+        every valuation at a cached barrier carries it)."""
+        return sequence_key(self.a, self.b, self.g2.shape[1])
+
+
+def sequence_key(a: float, b: float, terms: int) -> str:
+    """Identifier of the sequences of barrier ``(a, b)`` with ``terms`` terms."""
+    return f"gamma[a={a!r},b={b!r},terms={terms}]"
 
 
 def _larger_root(A: float, B: float, C: float) -> float:
@@ -301,17 +311,44 @@ def _slope(a: float, params: ModelParams) -> _Slope:
     return _Slope(a, params)
 
 
-def build_sequences(
-    barrier: BarrierSpec, params: ModelParams, min_terms: int = 2
-) -> GammaSequences:
-    """Construct both families plus E, truncated where the slope's tails end.
+@dataclass(frozen=True, eq=False)
+class SequenceRow:
+    """Coefficients of barriers that share one slope, the barrier axis leading.
 
-    The triples come from the slope's cached families; the barrier sets
-    only the two seeds of the rescaled coefficients.  These follow
+    ``g1, g2, g3`` are the slope's read-only ``(2, terms)`` triples, which
+    every barrier of the row shares.  ``D_scaled`` is ``(n, 2, terms)``;
+    ``E`` and ``b`` are shaped ``(n, 1)`` and ``(n, 1, 1)``, so each
+    broadcasts against the terms as a :class:`GammaSequences`' scalar does.
+    ``errors[i]`` is the error :func:`build_sequences` raises for barrier
+    ``i``, or None; such a barrier's coefficients are NaN, and when every
+    barrier has an error the row holds no terms.
+    """
+
+    g1: np.ndarray
+    g2: np.ndarray
+    g3: np.ndarray
+    D_scaled: np.ndarray
+    E: np.ndarray
+    b: np.ndarray
+    a: float
+    a_prime: float
+    tail_ratio: float  # the slope's tail ratio at the last step kept
+    errors: tuple[Exception | None, ...]
+
+
+def build_row(
+    barriers: Sequence[BarrierSpec], params: ModelParams, min_terms: int = 2
+) -> SequenceRow:
+    """Both families plus E for barriers of one slope, in one array pass.
+
+    The triples come from the slope's cached families; a barrier sets only
+    the two seeds of the rescaled coefficients.  These follow
     ``D_scaled[k+1] = D_scaled[k] * rho[k] * flux(g3[k], g2[k]) /
     flux(g1[k+1], g2[k+1])``, a cumulative product of the slope's step
     factors.  The base family starts from ``D0 = delta0 / flux(g1, g2)``,
-    the primed family from ``D0 = 1``, that is ``D_scaled = exp(g2*b)``.
+    the primed family from ``D0 = 1``, that is ``D_scaled = exp(g2*b)``
+    (``math.exp`` for each height, so its bits do not hang on NumPy's
+    SIMD kernels).
 
     Each step adds its term to the corner sums at (0, b), the numerator
     and denominator of E.  The sequences end at the slope's first step
@@ -326,63 +363,129 @@ def build_sequences(
     |seed1| S1)`` with ``S`` the slope's seed-1 sums of ``|term|`` at k,
     must stay within ``1e-6 * delta0 / (lam + q)``, a millionth of the
     value's scale (a relative test would fail at the corner, whose value
-    is 0); otherwise ``NonConvergenceError`` is raised, naming an overflow
-    when the bound or a corner sum is not finite.
+    is 0); otherwise ``NonConvergenceError``, naming an overflow when the
+    bound or a corner sum is not finite.
+
+    A barrier's error is the first that applies of: the slope's seed step
+    failed, ``exp(g2*b)`` overflows (``AnalyticDomainError``), the corner
+    sums do not converge, the rounding bound.  It is kept in ``errors``
+    rather than raised.  The caller checks the series method.
     """
-    check_series_method(barrier, params)
-    a, b = float(barrier.a), float(barrier.b)
+    a = float(barriers[0].a)
     if not 2 <= min_terms <= _MAX_TERMS:
         raise ParameterError([f"need 2 <= min_terms <= {_MAX_TERMS}, got {min_terms}"])
+    if any(float(bar.a) != a for bar in barriers):
+        raise ParameterError(["a row of barriers needs one slope"])
 
     slope = _slope(a, params)
     if slope.n < min_terms:
         slope.grow(min_terms)
-    if not slope.n:  # the seed step failed
-        raise NonConvergenceError(slope.error)
     data, tails = slope.data, slope.tails
-    g1_0, g2_0 = float(data[0, 0, 0]), float(data[1, 0, 0])
-    seed0 = barrier.delta0 / (g1_0 * (params.c1 + 1.0) + g2_0 * (params.c2 - a))
-    seed1 = _primed_seed(float(data[1, 1, 0]), b)
-    hits = (tails[min_terms - 1 :] < _TAIL_TOL).nonzero()[0]
-    if not hits.size:
-        raise NonConvergenceError(
-            slope.error
-            or f"corner sums not converged in {_MAX_TERMS} terms (tail ratio {tails[-1]:.2e})"
-        )
-    k = min_terms - 1 + int(hits[0])
-    factors = data[3, :, : k + 1].copy()
-    factors[:, 0] = seed0, seed1
-    with np.errstate(all="ignore"):  # an overflow fails the check below
-        scaled = factors.cumprod(axis=1)
-        sums = (scaled * data[4, :, : k + 1] / data[5, :, : k + 1]).cumsum(axis=1)
-    corner, corner_primed = sums[:, k].tolist()
-    E = -corner / corner_primed if 0.0 < abs(corner_primed) < math.inf else math.nan
-    size_base, size_primed = data[6, :, k].tolist()
-    rounding = 2.0**-52 * (abs(seed0) * size_base + abs(E) * abs(seed1) * size_primed)
-    scale = barrier.delta0 / (params.lam + params.q)
-    if not rounding <= 1e-6 * scale:
-        if not all(map(math.isfinite, (rounding, corner, corner_primed))):
-            raise NonConvergenceError(
-                f"a corner sum overflows: sums ({corner:.3g}, {corner_primed:.3g}) at (0, b),"
-                f" rounding bound {rounding:.3g}, over {k + 1} terms"
+    heights = [float(bar.b) for bar in barriers]
+    n, k = len(barriers), -1  # k: the last step kept, -1 while no barrier has terms
+    if not slope.n:  # the seed step failed
+        errors = [NonConvergenceError(slope.error)] * n
+    else:
+        seeds1, errors, g2_primed0 = [], [], float(data[1, 1, 0])
+        for b in heights:
+            try:
+                seeds1.append(_primed_seed(g2_primed0, b))
+                errors.append(None)
+            except AnalyticDomainError as exc:
+                seeds1.append(math.nan)
+                errors.append(exc)
+        hits = (tails[min_terms - 1 :] < _TAIL_TOL).nonzero()[0]
+        if not hits.size:
+            failed = NonConvergenceError(
+                slope.error
+                or f"corner sums not converged in {_MAX_TERMS} terms (tail ratio {tails[-1]:.2e})"
             )
-        raise NonConvergenceError(
-            f"series cancels below its rounding: bound {rounding:.3g} against delta0/(lam+q)"
-            f" = {scale:.6g} over {k + 1} terms"
-        )
+            errors = [exc or failed for exc in errors]
+        elif not all(errors):
+            k = min_terms - 1 + int(hits[0])
     g1, g2, g3 = data[:3, :, : k + 1].copy()  # apart from the slope's arrays
-    for field in (g1, g2, g3, scaled):
+    E = [math.nan] * n
+    if k < 0:
+        scaled = np.empty((n, 2, 0))
+    else:
+        g1_0, g2_0 = float(data[0, 0, 0]), float(data[1, 0, 0])
+        flux0 = g1_0 * (params.c1 + 1.0) + g2_0 * (params.c2 - a)
+        seeds0 = [bar.delta0 / flux0 for bar in barriers]
+        factors = np.empty((n, 2, k + 1))
+        factors[:] = data[3, :, : k + 1]
+        factors[:, 0, 0], factors[:, 1, 0] = seeds0, seeds1
+        with np.errstate(all="ignore"):  # an overflow fails the check below
+            scaled = factors.cumprod(axis=-1)
+            sums = (scaled * data[4, :, : k + 1] / data[5, :, : k + 1]).cumsum(axis=-1)
+        # E and the rounding bound are two scalars a barrier: plain floats
+        # cost less than a dozen array operations on a row of ~12 heights
+        size_base, size_primed = data[6, :, k].tolist()
+        corners = sums[:, :, k].tolist()
+        for i, bar in enumerate(barriers):
+            if errors[i] is None:
+                (corner, corner_primed), seed0, seed1 = corners[i], seeds0[i], seeds1[i]
+                if 0.0 < abs(corner_primed) < math.inf:
+                    E[i] = -corner / corner_primed
+                rounding = 2.0**-52 * (
+                    abs(seed0) * size_base + abs(E[i]) * abs(seed1) * size_primed
+                )
+                scale = bar.delta0 / (params.lam + params.q)
+                if not rounding <= 1e-6 * scale:
+                    errors[i] = _rounding_error(corner, corner_primed, rounding, scale, k)
+                    E[i] = math.nan
+            if errors[i] is not None:
+                scaled[i] = math.nan
+    E = np.array(E)[:, None]
+    for field in (g1, g2, g3, scaled, E):
         field.flags.writeable = False
-    return GammaSequences(
+    return SequenceRow(
         g1=g1,
         g2=g2,
         g3=g3,
         D_scaled=scaled,
         E=E,
-        a_prime=slope.a_prime,
+        b=np.array(heights)[:, None, None],
         a=a,
-        b=b,
-        tail_ratio=float(tails[k]),
+        a_prime=slope.a_prime,
+        tail_ratio=float(tails[k]) if k >= 0 else math.nan,
+        errors=tuple(errors),
+    )
+
+
+def _rounding_error(
+    corner: float, corner_primed: float, rounding: float, scale: float, k: int
+) -> NonConvergenceError:
+    """The error of a barrier whose corner sums fail the rounding bound."""
+    if not all(map(math.isfinite, (rounding, corner, corner_primed))):
+        return NonConvergenceError(
+            f"a corner sum overflows: sums ({corner:.3g}, {corner_primed:.3g}) at (0, b),"
+            f" rounding bound {rounding:.3g}, over {k + 1} terms"
+        )
+    return NonConvergenceError(
+        f"series cancels below its rounding: bound {rounding:.3g} against delta0/(lam+q)"
+        f" = {scale:.6g} over {k + 1} terms"
+    )
+
+
+def build_sequences(
+    barrier: BarrierSpec, params: ModelParams, min_terms: int = 2
+) -> GammaSequences:
+    """Both families plus E for one barrier: :func:`build_row` of that
+    barrier alone, whose error it raises."""
+    check_series_method(barrier, params)
+    row = build_row([barrier], params, min_terms)
+    if row.errors[0] is not None:
+        raise row.errors[0]
+    return GammaSequences(
+        g1=row.g1,
+        g2=row.g2,
+        g3=row.g3,
+        D_scaled=row.D_scaled[0],
+        E=float(row.E[0, 0]),
+        a_prime=row.a_prime,
+        a=row.a,
+        b=float(barrier.b),
+        tail_ratio=row.tail_ratio,
     )
 
 

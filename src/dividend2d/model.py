@@ -186,7 +186,7 @@ class BarrierSpec:
     @classmethod
     def reflection(cls, a: float, b: float, params: ModelParams) -> "BarrierSpec":
         """Barrier with the drift that keeps the process on the line."""
-        if not params.c2 > a:
+        if a >= params.c2:  # a NaN slope goes on to __post_init__, which names it
             raise ParameterError([f"reflection needs c2 > a ({params.c2} <= {a})"])
         return cls(a=a, b=b, delta1=params.c1 + 1.0, delta2=params.c2 - a)
 

@@ -356,6 +356,15 @@ def test_optimize_exits_2_unless_every_cell_failed_numerically(capsys, flags):
     assert "no valid cell in the grid" in out
 
 
+def test_optimize_names_a_nan_slope(capsys):
+    rc, out = run(capsys, ["optimize", "--u1", "1", "--u2", "2", "--a-grid", "nan",
+                           "--b-grid", "14"])
+    assert rc == 2
+    last = out.splitlines()[-1]
+    assert last.startswith("no valid cell in the grid; first cell a=nan b=14.0: ")
+    assert "0 < a < inf violated (nan)" in last and "3.0 <= nan" not in last
+
+
 def test_simulate_seed_out_of_range_is_bad_input(capsys):
     for seed in ("-1", "18446744073709551616"):
         rc, out = run(capsys, ["simulate", "impulse", "--paths", "10", "--seed", seed,

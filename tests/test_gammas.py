@@ -214,6 +214,36 @@ def test_build_after_another_barrier_of_the_slope_equals_a_cold_build(setup, b1,
     _assert_identical(warm, _cold(bar2, params))
 
 
+@settings(deadline=None, max_examples=40)
+@given(valid_setups(), st.lists(st.floats(1.0, 400.0), min_size=1, max_size=6))
+def test_a_row_of_heights_equals_one_build_per_height(setup, heights):
+    # the barrier axis leads: every height's coefficients, E and error are
+    # what build_sequences gives that height alone (a large b overflows
+    # exp(g2*b))
+    params, bar = setup
+    bars = [BarrierSpec.reflection(bar.a, b, params) for b in heights]
+    row = gammas.build_row(bars, params)
+    assert row.D_scaled.shape == (len(bars), *row.g2.shape)
+    for i, one in enumerate(bars):
+        try:
+            seqs = build_sequences(one, params)
+        except (AnalyticDomainError, NonConvergenceError) as exc:
+            assert type(row.errors[i]) is type(exc) and str(row.errors[i]) == str(exc)
+            assert np.isnan(row.D_scaled[i]).all() and np.isnan(row.E[i, 0])
+            continue
+        assert row.errors[i] is None
+        for f in ("g1", "g2", "g3"):
+            assert getattr(row, f).tobytes() == getattr(seqs, f).tobytes(), f
+        assert row.D_scaled[i].tobytes() == seqs.D_scaled.tobytes()
+        assert (row.E[i, 0], row.b[i, 0, 0], row.tail_ratio) == (seqs.E, seqs.b, seqs.tail_ratio)
+
+
+def test_a_row_needs_one_slope(params):
+    bars = [BarrierSpec.reflection(a, 14.0, params) for a in (0.1, 0.2)]
+    with pytest.raises(ParameterError, match="one slope"):
+        gammas.build_row(bars, params)
+
+
 @pytest.mark.parametrize("min_terms", [
     lambda terms: 60,
     lambda terms: 2 * terms,

@@ -88,6 +88,14 @@ def test_reflection_construction(params):
         BarrierSpec.reflection(3.0, 14.0, params)
 
 
+def test_reflection_names_a_nan_slope(params):
+    # "c2 > a" holds for no NaN, and the message used to claim 3.0 <= nan
+    with pytest.raises(ParameterError) as exc:
+        BarrierSpec.reflection(np.nan, 14.0, params)
+    assert "0 < a < inf violated (nan)" in exc.value.violations
+    assert "c2 > a" not in str(exc.value)
+
+
 @pytest.mark.parametrize("a, b", [(np.inf, 14.0), (0.1, np.inf), (np.nan, 14.0), (0.1, np.nan)])
 def test_barrier_must_be_finite(a, b):
     with pytest.raises(ParameterError, match="< inf violated"):

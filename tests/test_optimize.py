@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -14,8 +17,10 @@ from dividend2d import (
     sweep_barrier,
     sweep_to_csv,
 )
+from dividend2d import barrier as barrier_module
+from dividend2d import gammas
 from dividend2d.gammas import sequences_for
-from dividend2d.optimize import SWEEP_HEADER
+from dividend2d.optimize import SWEEP_HEADER, _evaluate_cell
 
 TABLE1_A = [0.1, 0.2, 0.5, 1.0]
 TABLE1_B = [6.0, 8.0, 14.0, 15.0, 20.0, 28.0]
@@ -101,3 +106,85 @@ def test_a_cell_whose_series_does_not_converge_is_recorded_and_skipped():
     # refinement sees such a cell as -inf and keeps to the others
     ref = refine_barrier(u, params, (0.1, 1.0), (10.0, 14.0), budget=40)
     assert math.isfinite(ref.v1) and ref.v1 >= good.v1
+
+
+def _fields(cell):
+    """Every field of a sweep cell, with ``v1`` and ``tail`` as their bits."""
+    bits = lambda x: None if x is None else struct.pack("<d", x)
+    return (cell.a, cell.b, cell.u1, cell.u2, bits(cell.v1), cell.terms, bits(cell.tail),
+            cell.error, cell.numerical)
+
+
+def _per_cell(u, a_values, b_values, params):
+    return [_fields(_evaluate_cell(u, a, b, params)) for a in a_values for b in b_values]
+
+
+@pytest.mark.parametrize("rate", [2.0, 0.6])
+def test_sweep_cells_equal_the_per_cell_evaluation(rate):
+    # each slope row is valued in one array pass; every cell must still be
+    # what _evaluate_cell gives it, bit for bit, error text included
+    params = ModelParams(c1=4.0, c2=3.0, lam=1.0, claims=ExponentialClaims(rate=rate), q=0.1)
+    rng = random.Random(3200 + int(10 * rate))
+    valid = invalid = 0
+    for _ in range(40):
+        # starts on both sides of the line and of the diagonal
+        u = Reserves(rng.uniform(0.0, 5.0), rng.uniform(0.0, 8.0))
+        a_values = [rng.uniform(0.01, 2.99) for _ in range(rng.randint(1, 5))]
+        b_values = [rng.uniform(0.5, 60.0) for _ in range(rng.randint(1, 6))]
+        grid = sweep_barrier(u, a_values, b_values, params).grid
+        assert [_fields(c) for c in grid] == _per_cell(u, a_values, b_values, params)
+        valid += sum(c.error is None for c in grid)
+        invalid += sum(c.error is not None for c in grid)
+    assert valid > 50 and invalid > 50
+
+
+@pytest.mark.parametrize("changes, a_values, b_values, errors", [
+    ({}, [3.0, 3.5], [14.0], ["reflection needs c2 > a (3.0 <= 3.0)",
+                              "reflection needs c2 > a (3.0 <= 3.5)"]),
+    ({}, [0.1], [1.5], ["point Reserves(u1=1.0, u2=2.0) lies strictly above the barrier"]),
+    ({"q": 1e-16}, [0.1], [14.0], ["series cancels below its rounding: bound 51.5"]),
+    # the primed seed's overflow is checked before the slope's failed step,
+    # so b = 800 is bad input (exit 2), not a numerical error
+    ({"c1": 1e100}, [0.1], [14.0, 800.0], ["exponent step not finite: ",
+                                           "exp(g2*b) overflows at b=800.0"]),
+])
+def test_sweep_takes_each_cells_first_failing_check(params, changes, a_values, b_values, errors):
+    params = dataclasses.replace(params, **changes)
+    u = Reserves(1.0, 2.0)
+    grid = sweep_barrier(u, a_values, b_values, params).grid
+    assert [_fields(c) for c in grid] == _per_cell(u, a_values, b_values, params)
+    assert [c.error[: len(e)] for c, e in zip(grid, errors)] == errors
+    assert [c.numerical for c in grid] == [e.startswith(("series", "exponent")) for e in errors]
+
+
+def test_sweep_takes_numpy_floats_and_repeated_values(params):
+    u = Reserves(1.0, 2.0)
+    a_values = list(np.array([0.2, 0.1, 0.2]))
+    b_values = list(np.array([14.0, 1.5, 14.0, 20.0]))
+    grid = sweep_barrier(u, a_values, b_values, params).grid
+    assert [_fields(c) for c in grid] == _per_cell(u, a_values, b_values, params)
+    assert _fields(grid[0]) == _fields(grid[2]) == _fields(grid[8]) == _fields(grid[10])
+    assert grid[1].error is not None and grid[3].v1 is not None
+
+
+def test_sweep_builds_each_slope_row_once(params, monkeypatch):
+    rows, builds = [], []
+    build_row, build_sequences = barrier_module.build_row, gammas.build_sequences
+
+    def counted_row(barriers, *args):
+        rows.append(len(barriers))
+        return build_row(barriers, *args)
+
+    def counted_build(*args):
+        builds.append(args)
+        return build_sequences(*args)
+
+    monkeypatch.setattr(barrier_module, "build_row", counted_row)
+    monkeypatch.setattr(gammas, "build_sequences", counted_build)
+    rng = np.random.default_rng(32)
+    a_values = sorted(rng.uniform(0.05, 1.5, 12).tolist())
+    b_values = sorted(rng.uniform(4.0, 30.0, 12).tolist())
+    sequences_for.cache_clear()
+    grid = sweep_barrier(Reserves(1.0, 2.0), a_values, b_values, params).grid
+    assert all(c.error is None for c in grid)
+    assert rows == [12] * 12 and builds == []
