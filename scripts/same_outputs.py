@@ -94,6 +94,14 @@ COMMANDS = [
                                    "--trace", "path.csv"]),
     ("simulate-impulse-horizon", ["simulate", "impulse", *_SIM, "--seed", "9", "--u1", "3",
                                   "--u2", "2", "--cost", "0.5", "--max-time", "5"]),
+    # a set where the payout drift used to round into sliding along the line,
+    # and c1 + 1 rounding to c1, which leaves company 1 no drain (exit 2)
+    ("simulate-barrier-rounding", ["simulate", "barrier", *_SIM, "--seed", "7", "--c1",
+                                   "3.8142564242796815", "--c2", "3.0561574969534915",
+                                   "--u1", "1", "--u2", "2", "--a", "2.53614303382828",
+                                   "--b", "6"]),
+    ("simulate-barrier-c1e100", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "1",
+                                 "--u2", "2", "--a", "0.1", "--b", "14", "--c1", "1e100"]),
     ("simulate-barrier-alpha0.6", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "1",
                                    "--u2", "2", "--a", "0.1", "--b", "14", "--alpha", "0.6"]),
     ("simulate-barrier-u1-above-u2", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "3",

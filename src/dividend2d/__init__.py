@@ -39,8 +39,8 @@ from .model import (
     Reserves,
     SampledClaims,
     UnsupportedDistributionError,
+    check_barrier,
     classify_point,
-    validate_barrier,
 )
 from .optimize import RefineResult, SweepResult, refine_barrier, sweep_barrier, sweep_to_csv
 from .scale import ScaleParams, TiltedModel, laplace_exponent, phi_inverse, scale_params

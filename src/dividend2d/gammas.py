@@ -43,6 +43,7 @@ from .model import (
     ModelParams,
     NonConvergenceError,
     ParameterError,
+    check_barrier,
     require_exponential,
 )
 
@@ -295,14 +296,10 @@ def _primed_seed(g2_primed0: float, b: float) -> float:
 
 
 def check_series_method(barrier: BarrierSpec, params: ModelParams) -> None:
-    """Raise unless the series applies: exponential claims and the
-    reflection drift."""
+    """Raise unless the series applies: exponential claims and a barrier
+    of ``params`` (:func:`check_barrier`)."""
     require_exponential(params.claims)
-    if not barrier.is_reflection(params):
-        raise AnalyticDomainError(
-            "series solution is derived for the reflection drift delta = (c1 + 1, c2 - a)"
-            " only; use the simulator for general rates"
-        )
+    check_barrier(barrier, params)
 
 
 @lru_cache(maxsize=128)

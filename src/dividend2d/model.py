@@ -4,8 +4,9 @@ Two companies share every claim in full and collect premiums at rates
 ``c1 > c2``.  The reserve pair drifts at ``(c1, c2)`` between claims and
 jumps by ``-(x, x)`` at each claim.  A linear barrier ``y = b - a*x``
 splits the positive quadrant; while the controlled process sits on or
-above the barrier, a drift ``(delta1, delta2)`` is diverted to the
-shareholders.
+above the barrier, the drift ``(c1 + 1, c2 - a)`` is diverted to the
+shareholders.  That is the one payout drift: on the line the pair moves
+with velocity ``(-1, a)``, along the line toward ``(0, b)``.
 """
 
 from __future__ import annotations
@@ -159,16 +160,18 @@ class Reserves:
 
 @dataclass(frozen=True)
 class BarrierSpec:
-    """Linear payout barrier ``y = b - a*x`` with diverted drift rates.
+    """Linear payout barrier ``y = b - a*x`` and its payout rate ``delta0``.
 
-    The reflection case pins delta = (c1 + 1, c2 - a): the on-barrier
-    velocity becomes (-1, a), i.e. motion along the line toward (0, b).
+    On and above the line the drift ``(c1 + 1, c2 - a)`` is diverted to the
+    shareholders at the total rate ``delta0 = (c1 + 1) + (c2 - a)``, so the
+    on-line velocity is ``(-1, a)``: motion along the line toward ``(0, b)``.
+    Build one with :meth:`reflection`; :func:`check_barrier` checks it
+    against a model.
     """
 
     a: float
     b: float
-    delta1: float
-    delta2: float
+    delta0: float
 
     def __post_init__(self):
         v = []
@@ -176,50 +179,31 @@ class BarrierSpec:
             v.append(f"0 < a < inf violated ({self.a})")
         if not 0.0 < self.b < math.inf:
             v.append(f"0 < b < inf violated ({self.b})")
-        if not self.delta1 > 0.0:
-            v.append(f"delta1 > 0 violated ({self.delta1})")
-        if not self.delta2 > 0.0:
-            v.append(f"delta2 > 0 violated ({self.delta2})")
         if v:
             raise ParameterError(v)
 
     @classmethod
     def reflection(cls, a: float, b: float, params: ModelParams) -> "BarrierSpec":
-        """Barrier with the drift that keeps the process on the line."""
+        """The barrier ``y = b - a*x`` of ``params``, paying ``(c1 + 1, c2 - a)``."""
         if a >= params.c2:  # a NaN slope goes on to __post_init__, which names it
             raise ParameterError([f"reflection needs c2 > a ({params.c2} <= {a})"])
-        return cls(a=a, b=b, delta1=params.c1 + 1.0, delta2=params.c2 - a)
-
-    @property
-    def delta0(self) -> float:
-        return self.delta1 + self.delta2
+        return cls(a=a, b=b, delta0=(params.c1 + 1.0) + (params.c2 - a))
 
     def line_height(self, u1: float) -> float:
         return self.b - self.a * u1
 
-    def is_reflection(self, params: ModelParams) -> bool:
-        return (
-            abs(self.delta1 - (params.c1 + 1.0)) <= 1e-12
-            and abs(self.delta2 - (params.c2 - self.a)) <= 1e-12
-        )
 
-
-def barrier_violations(barrier: BarrierSpec, params: ModelParams) -> list[str]:
-    """Violated barrier conditions relative to ``params``."""
-    v = []
-    if not params.c1 - barrier.delta1 < 0.0:
-        v.append(
-            f"c1 - delta1 < 0 violated ({params.c1} - {barrier.delta1});"
-            " company 1 must drain while paying"
-        )
-    return v
-
-
-def validate_barrier(barrier: BarrierSpec, params: ModelParams) -> BarrierSpec:
-    v = barrier_violations(barrier, params)
-    if v:
-        raise ParameterError(v)
-    return barrier
+def check_barrier(barrier: BarrierSpec, params: ModelParams) -> None:
+    """Raise :class:`ParameterError` unless ``barrier`` pays the payout rate
+    of the drift ``(c1 + 1, c2 - a)`` of ``params``, bit for bit, as
+    :meth:`BarrierSpec.reflection` builds it; a barrier built for another
+    model fails."""
+    rate = (params.c1 + 1.0) + (params.c2 - barrier.a)
+    if barrier.delta0 != rate:
+        raise ParameterError([
+            f"delta0 = (c1 + 1) + (c2 - a) violated ({barrier.delta0} != {rate});"
+            " build the barrier for this model with BarrierSpec.reflection"
+        ])
 
 
 class Region(Enum):

@@ -17,11 +17,12 @@ estimate is a pure function of the seed.
 
 Barrier paths run through one NumPy kernel that moves a block of paths in
 lockstep, one inter-claim interval at a time, and impulse paths through
-another; one driver feeds both the same chunks.  Each pass of the barrier
-kernel moves the rows below the line first and then, in the same pass,
-the rows in the payout set with those that reached the line, each row
-under its own drift only (``_barrier_kernel`` says why no row's bits
-depend on which rows share its pass).  A block's first chunk is about
+another; one driver feeds both the same chunks.  The barrier kernel
+takes one pass per inter-claim interval: it moves the rows below the line
+first and then, in the same pass, the rows in the payout set with those
+that reached the line, under the payout drift ``(c1 + 1, c2 - a)``
+(``_barrier_kernel`` says why no row's bits depend on which rows share
+its pass).  A block's first chunk is about
 one fill slice of counters (8,192 paths start on 1 column, 1,024 on 8,
 128 or fewer on 64); paths still running when their columns run out
 resume on the next chunk, drawn for them alone and twice as wide (up to
@@ -89,21 +90,18 @@ from .model import (
     ModelParams,
     ParameterError,
     Reserves,
-    validate_barrier,
+    check_barrier,
 )
 from .impulse import ImpulseSpec
 
 #: a path's end code: still running, ruined by company 1's reserve going
-#: negative (company 2's may have too) or by company 2's alone, or
-#: censored; and, below _RUNNING as it ends no path, the barrier kernel's
-#: code for a payout step that descends onto the line
-_RUNNING, _RUIN_C1, _RUIN_C2, _CENSORED, _ONTO_LINE = 0, 1, 2, 3, -1
+#: negative (company 2's may have too) or by company 2's alone, or censored
+_RUNNING, _RUIN_C1, _RUIN_C2, _CENSORED = 0, 1, 2, 3
 
 #: trace event codes -> labels for the CSV surface
 TRACE_EVENTS = {
     0: "start",
     1: "enter_payout",
-    2: "reach_line_above",
     3: "claim",
     4: "ruin",
     5: "censored",
@@ -209,7 +207,13 @@ def _barrier_horizon(
     check of a horizon, made before those of the barrier and the start."""
     if max_time is not None and not max_time > 0.0:
         raise ValueError(f"max_time > 0 required, got {max_time}")
-    validate_barrier(barrier, params)
+    check_barrier(barrier, params)
+    # the kernel's payout drift of company 1; 0 once c1 + 1 rounds to c1
+    if not params.c1 - (params.c1 + 1.0) < 0.0:
+        raise ParameterError([
+            f"c1 - (c1 + 1) < 0 violated ({params.c1} - {params.c1 + 1.0});"
+            " company 1 must drain while paying"
+        ])
     # the kernel tests ruin only after a claim, so a start outside the
     # quadrant would drift back in instead of counting as ruined
     if not (0.0 <= u.u1 < math.inf and 0.0 <= u.u2 < math.inf):
@@ -404,24 +408,13 @@ def _barrier_kernel(
     path's result does not depend on which block it runs in, nor on how
     its columns are split into chunks.
 
-    Each pass over the rows still in the interval moves the rows below the
-    line first, under the premium drift alone, to the line, the claim or
-    past the horizon (censored).  Rows that reach the line with time left
-    join the rows in the payout set, and the payout step runs on those rows
-    only, in the same pass.  A row that reaches the line holds
-    ``y2 = b - a*y1`` exactly, so its distance to the line recomputes to 0:
-    it takes the payout step it would take on a pass of its own, with the
-    same operations in the same order, and its trace rows keep their order.
-
-    When the payout drift points back below the line while the premium
-    drift points above it, the line attracts from both sides and the
-    trajectory slides along it (the chattering limit): payout accrues at
-    the fraction of time spent in the payout set that keeps the motion on
-    the line.  Reflection is the boundary case of this with fraction 1.
-    Where ``rate_f`` rounds below 0 but the fraction rounds to 1 (table 3's
-    reflection barrier), sliding moves as the payout drift does and the
-    line is taken not to attract: a descent onto it takes over ON_LINE_TOL
-    / |rate_f| (9,000 there) of one wait, and no wait exceeds 53 ln 2 / lam.
+    One pass over the rows in the interval moves the rows below the line
+    first, under the premium drift alone, to the line, the claim or past
+    the horizon (censored).  Rows that reach the line with time left join
+    the rows in the payout set, and the payout step moves those rows only,
+    in the same pass, under the payout drift ``(c1 + 1, c2 - a)``
+    (velocity ``(-1, a)``, along the line from a row on it) to the claim,
+    an axis crossing (ruin) or the horizon.
 
     ``trace`` (a list, blocks of one path only) receives the event rows
     (t, y1, y2, code) of that path after its start row.
@@ -429,16 +422,9 @@ def _barrier_kernel(
     a, b, q, tol = barrier.a, barrier.b, params.q, ON_LINE_TOL
     c1, c2 = params.c1, params.c2
     d0 = barrier.delta0
-    v1b = c1 - barrier.delta1
-    v2b = c2 - barrier.delta2
-    rate_f = v2b + a * v1b  # growth of y2 - (b - a*y1) inside the payout set
-    approach = c2 + a * c1  # the same growth below the set; always positive
-    slide = (v1b, v2b, d0)
-    if rate_f < 0.0:
-        # Filippov fraction keeping the f-velocity at zero while sliding
-        theta = approach / (approach - rate_f)
-        slide = (theta * v1b + (1.0 - theta) * c1, theta * v2b + (1.0 - theta) * c2, theta * d0)
-    attracts = slide != (v1b, v2b, d0)
+    v1b = c1 - (c1 + 1.0)  # the velocity in the payout set, (-1, a) up to rounding
+    v2b = c2 - (c2 - a)
+    approach = c2 + a * c1  # growth of y2 - (b - a*y1) below the line; always positive
 
     def note(mask, code, t, y1, y2):
         if trace is not None and np.any(mask):
@@ -460,72 +446,56 @@ def _barrier_kernel(
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(ts.shape[1]):
             rem = ts[rows, k]
+            # the rows in the interval, by region, each set padded to a
+            # multiple of _LANES with copies that compute and write alike.
+            # One pass uses up the interval: a row below the line stops at its
+            # claim, the horizon or the line, and a row that pays stops at its
+            # claim unless it ruins or is censored first
             pos = np.flatnonzero(alive & (rem > 0.0))
-            while pos.size:
-                # the rows still in the interval, by region, each set padded to a
-                # multiple of _LANES with copies that compute and write alike
-                n = pos.size
+            n = pos.size
+            pos = _padded(pos)
+            below = (y2[pos] - (b - a * y1[pos]) < -tol)[:n]
+            low, pos = pos[:n][below], pos[:n][~below]
+            if low.size:
+                # below the line: premium drift toward it, no payout, no ruin
+                n = low.size
+                low = _padded(low)
+                Y1, Y2, T, R = y1[low], y2[low], t[low], rem[low]
+                t_hit = -(Y2 - (b - a * Y1)) / approach
+                hit = t_hit < R
+                dt = np.where(hit, t_hit, R)
+                Y1 = Y1 + c1 * dt
+                Y2 = np.where(hit, b - a * Y1, Y2 + c2 * dt)
+                T, R = T + dt, R - dt
+                y1[low], y2[low], t[low], rem[low] = Y1, Y2, T, R
+                censored = T >= max_time
+                note(hit, 1, T, Y1, Y2)
+                note(censored, 5, T, Y1, Y2)
+                finish(low, censored, _CENSORED)
+                # a hit leaves time (t_hit < R) and y2 = b - a*y1 exactly
+                pos = np.concatenate((pos, low[:n][(hit & ~censored)[:n]]))
+            if pos.size:
+                # in the payout set: the payout drift
                 pos = _padded(pos)
-                below = (y2[pos] - (b - a * y1[pos]) < -tol)[:n]
-                low, pos = pos[:n][below], pos[:n][~below]
-                if low.size:
-                    # below the line: premium drift toward it, no payout, no ruin
-                    n = low.size
-                    low = _padded(low)
-                    Y1, Y2, T, R = y1[low], y2[low], t[low], rem[low]
-                    t_hit = -(Y2 - (b - a * Y1)) / approach
-                    hit = t_hit < R
-                    dt = np.where(hit, t_hit, R)
-                    Y1 = Y1 + c1 * dt
-                    Y2 = np.where(hit, b - a * Y1, Y2 + c2 * dt)
-                    T, R = T + dt, R - dt
-                    y1[low], y2[low], t[low], rem[low] = Y1, Y2, T, R
-                    censored = T >= max_time
-                    note(hit, 1, T, Y1, Y2)
-                    note(censored, 5, T, Y1, Y2)
-                    finish(low, censored, _CENSORED)
-                    # a hit leaves time (t_hit < R) and y2 = b - a*y1 exactly
-                    pos = np.concatenate((pos, low[:n][(hit & ~censored)[:n]]))
-                if not pos.size:
-                    break
-                # in the payout set: diverted (or sliding) drift
-                n = pos.size
-                pos = _padded(pos)
-                Y1, Y2, T, A, R = y1[pos], y2[pos], t[pos], D[pos], rem[pos]
-                w1, w2, pay = v1b, v2b, d0
-                if attracts:
-                    f = Y2 - (b - a * Y1)
-                    sliding = f <= tol
-                    w1, w2, pay = (np.where(sliding, s, w) for s, w in zip(slide, (v1b, v2b, d0)))
-                dt = R
+                Y1, Y2, T, A = y1[pos], y2[pos], t[pos], D[pos]
+                dt = rem[pos]
                 kind = np.full(pos.size, _RUNNING, dtype=np.int8)
-                for end, w, y, lowest in ((_RUIN_C1, w1, Y1, min(v1b, slide[0])),
-                                          (_RUIN_C2, w2, Y2, min(v2b, slide[1]))):
-                    if lowest < 0.0:  # a drift that is never negative crosses no axis
+                for end, w, y in ((_RUIN_C1, v1b, Y1), (_RUIN_C2, v2b, Y2)):
+                    if w < 0.0:  # a drift that is not negative crosses no axis
                         tt = y / -w
-                        earlier = (w < 0.0) & (tt < dt)
+                        earlier = tt < dt
                         dt = np.where(earlier, tt, dt)
                         kind[earlier] = end  # this company's axis crossing
-                if attracts:
-                    tt = f / -rate_f  # descends onto the line, then slides
-                    earlier = ~sliding & (tt < dt)
-                    dt = np.where(earlier, tt, dt)
-                    kind[earlier] = _ONTO_LINE
                 late = T + dt > max_time
                 dt = np.where(late, max_time - T, dt)
                 kind[late] = _CENSORED
-                A = A + pay * (np.exp(-q * T) - np.exp(-q * (T + dt))) / q
-                Y1, Y2 = Y1 + w1 * dt, Y2 + w2 * dt
-                if attracts:
-                    Y2 = np.where(kind == _ONTO_LINE, b - a * Y1, Y2)
-                T, R = T + dt, R - dt
-                y1[pos], y2[pos], t[pos], D[pos], rem[pos] = Y1, Y2, T, A, R
+                A = A + d0 * (np.exp(-q * T) - np.exp(-q * (T + dt))) / q
+                Y1, Y2, T = Y1 + v1b * dt, Y2 + v2b * dt, T + dt
+                y1[pos], y2[pos], t[pos], D[pos] = Y1, Y2, T, A
                 ended = kind > _RUNNING
-                note(kind == _ONTO_LINE, 2, T, Y1, Y2)
                 note(ended & (kind != _CENSORED), 4, T, Y1, Y2)
                 note(kind == _CENSORED, 5, T, Y1, Y2)
                 finish(pos, ended, kind)
-                pos = pos[:n][(~ended & (R > 0.0))[:n]]
             if not alive.any():
                 break
             x = xs[rows, k]

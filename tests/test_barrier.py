@@ -173,9 +173,6 @@ def test_domain_rejections(params, barrier):
     )
     with pytest.raises(UnsupportedDistributionError):
         v1_barrier(Reserves(1.0, 2.0), barrier, bad_claims)
-    general = BarrierSpec(a=0.1, b=14.0, delta1=params.c1 + 2.0, delta2=1.0)
-    with pytest.raises(AnalyticDomainError, match="reflection"):
-        v1_barrier(Reserves(1.0, 2.0), general, params)
 
 
 def _random_barrier(rng, params):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -146,13 +147,13 @@ def test_min_terms_outside_the_term_range_is_rejected(params, barrier, min_terms
         build_sequences(barrier, params, min_terms=min_terms)
 
 
-def test_general_drift_is_rejected_as_v1_barrier_rejects_it(params):
+def test_barrier_of_another_model_is_rejected_as_v1_barrier_rejects_it(params):
     # the series rule is stated once: the sequences and the valuation both
-    # raise AnalyticDomainError for a barrier off the reflection drift
-    general = BarrierSpec(a=0.1, b=14.0, delta1=params.c1 + 2.0, delta2=1.0)
+    # raise ParameterError for a barrier that pays another model's rate
+    other = BarrierSpec.reflection(0.1, 14.0, dataclasses.replace(params, c1=5.0))
     for build in (build_sequences, sequences_for):
-        with pytest.raises(AnalyticDomainError, match="reflection drift"):
-            build(general, params)
+        with pytest.raises(ParameterError, match="delta0 = .* violated"):
+            build(other, params)
 
 
 def test_csv_round_trip(params, barrier):

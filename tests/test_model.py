@@ -13,9 +13,11 @@ from dividend2d import (
     Region,
     Reserves,
     SampledClaims,
+    SimConfig,
     UnsupportedDistributionError,
+    check_barrier,
     classify_point,
-    validate_barrier,
+    estimate_barrier_moments,
 )
 from dividend2d.model import ON_LINE_TOL, model_violations, require_exponential
 
@@ -80,10 +82,11 @@ def test_sampled_claims_rejected_by_analytics():
 
 def test_reflection_construction(params):
     bar = BarrierSpec.reflection(0.1, 14.0, params)
-    assert bar.delta1 == params.c1 + 1.0
-    assert bar.delta2 == params.c2 - 0.1
-    assert bar.delta0 == (params.c1 + 1.0) + (params.c2 - 0.1)
-    assert bar.is_reflection(params)
+    assert bar == BarrierSpec(0.1, 14.0, (params.c1 + 1.0) + (params.c2 - 0.1))
+    check_barrier(bar, params)
+    # the payout rate is checked bit for bit
+    with pytest.raises(ParameterError, match="build the barrier for this model"):
+        check_barrier(BarrierSpec(0.1, 14.0, math.nextafter(bar.delta0, 0.0)), params)
     with pytest.raises(ParameterError, match="c2 > a"):
         BarrierSpec.reflection(3.0, 14.0, params)
 
@@ -99,14 +102,18 @@ def test_reflection_names_a_nan_slope(params):
 @pytest.mark.parametrize("a, b", [(np.inf, 14.0), (0.1, np.inf), (np.nan, 14.0), (0.1, np.nan)])
 def test_barrier_must_be_finite(a, b):
     with pytest.raises(ParameterError, match="< inf violated"):
-        BarrierSpec(a=a, b=b, delta1=5.0, delta2=2.9)
+        BarrierSpec(a=a, b=b, delta0=7.9)
 
 
 def test_barrier_requires_company1_drain(params):
-    bar = BarrierSpec(a=0.1, b=14.0, delta1=2.0, delta2=1.0)
-    with pytest.raises(ParameterError, match="delta1"):
-        validate_barrier(bar, params)
-
+    # at c1 = 1e100 the barrier is the model's own, so check_barrier passes
+    # it, but c1 + 1 rounds to c1 and the simulator's company 1 would not
+    # drain while paying
+    huge = dataclasses.replace(params, c1=1e100)
+    bar = BarrierSpec.reflection(0.1, 14.0, huge)
+    check_barrier(bar, huge)
+    with pytest.raises(ParameterError, match="company 1 must drain while paying"):
+        estimate_barrier_moments(Reserves(1.0, 2.0), bar, huge, SimConfig(10, 1))
 
 def test_classify_examples(params, barrier):
     assert classify_point(Reserves(0.0, 14.0), barrier) == Region.ON_LINE
@@ -122,7 +129,7 @@ def test_classify_examples(params, barrier):
     b=st.floats(0.5, 30.0),
 )
 def test_classify_is_a_partition(u1, u2, a, b):
-    bar = BarrierSpec(a=a, b=b, delta1=1.0, delta2=1.0)
+    bar = BarrierSpec(a=a, b=b, delta0=2.0)
     region = classify_point(Reserves(u1, u2), bar)
     if min(u1, u2) < 0.0:
         assert region == Region.OUTSIDE_QUADRANT
@@ -136,7 +143,7 @@ def test_classify_is_a_partition(u1, u2, a, b):
 
 @given(u1=st.floats(0.01, 10.0), t=st.floats(0.0, 1.0))
 def test_reflection_velocity_stays_on_line(params, u1, t):
-    # on-barrier velocity (c - delta) = (-1, a): sliding toward (0, b)
+    # on-barrier velocity (c1 - (c1 + 1), c2 - (c2 - a)) = (-1, a): along the line toward (0, b)
     bar = BarrierSpec.reflection(0.4, 12.0, params)
     dt = t * u1  # stay within the segment
     y1 = u1 - dt

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import math
 import os
 import signal
@@ -17,14 +18,17 @@ from dividend2d import (
     ExponentialClaims,
     ImpulseSpec,
     ModelParams,
+    NonConvergenceError,
     ParameterError,
     Reserves,
     SimConfig,
+    build_sequences,
     estimate_barrier_moments,
     estimate_impulse_moments,
     simulate_impulse_path,
     simulate_refracted_path,
     trace_refracted_path,
+    v1_barrier,
 )
 from dividend2d import simulate
 from dividend2d.model import SampledClaims
@@ -80,11 +84,11 @@ def test_partition_merge_equals_full_run(params, barrier):
 
 
 def test_block_run_matches_single_paths_beyond_first_chunk():
-    # small claims and an attracting line: paths slide for hundreds of
-    # claims and resume on chunk after chunk of columns; the estimate must
-    # still equal the single-path runs exactly
-    long = ModelParams(c1=4.0, c2=3.0, lam=1.0, claims=ExponentialClaims(20.0), q=0.01)
-    bar = BarrierSpec(a=0.5, b=45.0, delta1=5.0, delta2=4.0)
+    # frequent small claims: paths run for hundreds of claims below and
+    # along the line and resume on chunk after chunk of columns; the
+    # estimate must still equal the single-path runs exactly
+    long = ModelParams(c1=4.0, c2=3.0, lam=20.0, claims=ExponentialClaims(20.0), q=0.1)
+    bar = BarrierSpec.reflection(0.5, 14.0, long)
     u = Reserves(1.0, 2.0)
     cfg = SimConfig(n_paths=8, master_seed=21)
     rows = trace_refracted_path(u, bar, long, seed=cfg.master_seed)
@@ -101,7 +105,7 @@ def test_deterministic_path_without_claims(params):
     # horizon): motion along the line from (u1, u2) reaches (0, b) at
     # t = u1 and crosses into ruin; payout is exact in closed form
     quiet = ModelParams(c1=4.0, c2=3.0, lam=1e-300, claims=ExponentialClaims(2.0), q=0.1)
-    bar = BarrierSpec(a=0.1, b=14.0, delta1=5.0, delta2=2.9)
+    bar = BarrierSpec.reflection(0.1, 14.0, quiet)
     u1 = 3.0
     u = Reserves(u1, bar.line_height(u1))
     res = simulate_refracted_path(u, bar, quiet, _path_rng(0, 0), max_time=1e6)
@@ -118,41 +122,19 @@ def test_deterministic_path_without_claims(params):
     assert res_in.D == pytest.approx(expected, rel=1e-12)
 
 
-def test_deterministic_general_drift_path(params):
-    # general diverted rates with the payout-set drift pointing up-left:
-    # the path stays in the payout set and company 1 drains to ruin
-    quiet = ModelParams(c1=4.0, c2=3.0, lam=1e-300, claims=ExponentialClaims(2.0), q=0.1)
-    bar = BarrierSpec(a=0.1, b=14.0, delta1=6.0, delta2=0.5)
-    u1 = 3.0
-    u = Reserves(u1, bar.line_height(u1) + 1.0)  # strictly inside the payout set
-    res = simulate_refracted_path(u, bar, quiet, _path_rng(0, 0), max_time=1e6)
-    sigma = u1 / (bar.delta1 - quiet.c1)
-    expected = bar.delta0 * (1.0 - math.exp(-quiet.q * sigma)) / quiet.q
-    assert not res.censored
-    assert res.sigma == pytest.approx(sigma, rel=1e-12)
-    assert res.D == pytest.approx(expected, rel=1e-12)
-
-
-def test_deterministic_sliding_path(params):
-    # attracting line: payout drift points below it, premium drift above;
-    # the path slides with the occupation fraction theta until company 2
-    # drains at the x-axis intercept
-    quiet = ModelParams(c1=4.0, c2=3.0, lam=1e-300, claims=ExponentialClaims(2.0), q=0.1)
-    a, b = 0.5, 6.0
-    bar = BarrierSpec(a=a, b=b, delta1=5.0, delta2=4.0)
-    v1b, v2b = quiet.c1 - bar.delta1, quiet.c2 - bar.delta2
-    rate_f = v2b + a * v1b
-    approach = quiet.c2 + a * quiet.c1
-    theta = approach / (approach - rate_f)
-    w2 = theta * v2b + (1.0 - theta) * quiet.c2
-    assert rate_f < 0.0 < theta < 1.0 and w2 < 0.0
-    u1 = 2.0
+def test_claim_free_path_moves_along_the_line_at_unit_speed():
+    # here (c2 - (c2 - a)) + a*(c1 - (c1 + 1)) rounds a few ulp below 0,
+    # which made the line "attract" and the path slide at another speed; the
+    # payout drift is the one drift, so company 1 drains at (c1 + 1) - c1
+    quiet = ModelParams(c1=3.8142564242796815, c2=3.0561574969534915, lam=1e-300,
+                        claims=ExponentialClaims(2.0), q=0.1)
+    bar = BarrierSpec.reflection(2.53614303382828, 6.0, quiet)
+    u1 = 1.5
     u = Reserves(u1, bar.line_height(u1))
     res = simulate_refracted_path(u, bar, quiet, _path_rng(0, 0), max_time=1e6)
-    sigma = u.u2 / (-w2)
-    expected = theta * bar.delta0 * (1.0 - math.exp(-quiet.q * sigma)) / quiet.q
-    assert res.sigma == pytest.approx(sigma, rel=1e-12)
-    assert res.D == pytest.approx(expected, rel=1e-12)
+    assert res.sigma == u1 / (quiet.c1 + 1.0 - quiet.c1)
+    rows = trace_refracted_path(u, bar, quiet, 0, max_time=1e6)
+    assert [ev for *_, ev in rows] == ["start", "ruin"]  # no reach_line_above row
 
 
 def test_discounted_accrual_identity(params):
@@ -536,36 +518,23 @@ def _pinned(m1, m2, m3, ruin_time_mean, bias, n_censored=0, n_ruin_company2=0):
 
 
 # 2,000 paths, seed 7, moments 1-3: every branch of the barrier kernel, its
-# bits frozen; deltas None is the reflection barrier
-@pytest.mark.parametrize("u, a, b, deltas, alpha, expected", [
-    pytest.param((1.0, 2.0), 0.1, 14.0, None, 2.0, _pinned(
+# bits frozen
+@pytest.mark.parametrize("u, a, b, alpha, expected", [
+    pytest.param((1.0, 2.0), 0.1, 14.0, 2.0, _pinned(
         (37.80657021705391, 0.14387404096148373), (1470.736230902201, 6.559383527148632),
         (57417.3637347067, 305.687263670618), 25.270626167356244, 0.0), id="table1-argmax"),
-    pytest.param((0.4, 0.6), 0.9, 1.8, None, 2.0, _pinned(
+    pytest.param((0.4, 0.6), 0.9, 1.8, 2.0, _pinned(
         (5.125453337707683, 0.0414805019634918), (29.711536003305326, 0.30666989160136965),
         (177.1079784013121, 2.0877122117110223), 0.9249860085374295, 0.0), id="table3"),
     # about a third of the paths ruined by company 2 alone
-    pytest.param((1.0, 2.0), 0.1, 14.0, None, 0.6, _pinned(
+    pytest.param((1.0, 2.0), 0.1, 14.0, 0.6, _pinned(
         (14.710491147002648, 0.28013978505589165), (373.3551481283656, 8.79386507450572),
         (10197.929532677705, 292.5873016436645), 34.59173744940231, 7.844060751799478e-06,
         161, 628), id="alpha0.6"),
-    # diverted drift (-2, 2.5), away from the line
-    pytest.param((1.0, 2.0), 0.1, 14.0, (6.0, 0.5), 2.0, _pinned(
-        (19.496029324966216, 0.078216551090212), (392.3308171688381, 2.005747383014446),
-        (7946.852400786002, 51.54504075326354), 10.2957205220923, 0.0), id="general"),
-    # an attracting line, reached from below and by descent from above
-    pytest.param((1.0, 2.0), 0.5, 45.0, (5.0, 4.0), 2.0, _pinned(
-        (21.250860459953508, 0.08764693397803447), (466.9630403599153, 2.5402462068160037),
-        (10345.097673574994, 72.79644888464632), 0.15850389366592624, 9.730625677263331e-05,
-        1951), id="sliding-below"),
-    pytest.param((10.0, 50.0), 0.5, 45.0, (5.0, 4.0), 2.0, _pinned(
-        (69.80796174079659, 0.08648502821035253), (4888.110842613611, 10.920517373268968),
-        (343103.4973410166, 1071.5336256811297), 7.524454476214476, 9.89561701330655e-05,
-        1984), id="sliding-above"),
 ])
-def test_barrier_estimates_keep_their_bits(u, a, b, deltas, alpha, expected):
+def test_barrier_estimates_keep_their_bits(u, a, b, alpha, expected):
     model = ModelParams(c1=4.0, c2=3.0, lam=1.0, claims=ExponentialClaims(alpha), q=0.1)
-    bar = BarrierSpec(a, b, *deltas) if deltas else BarrierSpec.reflection(a, b, model)
+    bar = BarrierSpec.reflection(a, b, model)
     cfg = SimConfig(n_paths=2000, master_seed=7, moment_orders=(1, 2, 3))
     assert estimate_barrier_moments(Reserves(*u), bar, model, cfg) == expected
 
@@ -584,17 +553,17 @@ def test_short_horizon_censors_below_the_line_and_in_the_payout_set(params):
     assert np.count_nonzero(censored & (sigma > horizon)) == 135
 
 
-@pytest.mark.parametrize("u, a, b, deltas, max_time, seed, expected", [
-    pytest.param((0.4, 0.6), 0.9, 1.8, None, None, 4, [
+@pytest.mark.parametrize("u, a, b, seed, expected", [
+    pytest.param((0.4, 0.6), 0.9, 1.8, 4, [
         (0.0, 0.4, 0.6, "start"),
         (0.1272727272727273, 0.9090909090909092, 0.9818181818181818, "enter_payout"),
         (0.14205940154418376, 0.3389123529236886, 0.4397343067667284, "claim"),
         (0.30194494330205524, 0.9784545199551746, 0.9193909320403428, "enter_payout"),
         (1.28039946325723, 0.0, 1.7999999999999998, "ruin"),
     ], id="table3"),
-    # table 3's rate_f rounds to -1.1e-16, yet the line does not attract:
-    # the path moves in the payout set, below the line, and back onto it
-    pytest.param((3.0, 2.0), 0.9, 1.8, None, None, 6, [
+    # a start in the payout set: the path pays, drops below the line on its
+    # claims and returns to it
+    pytest.param((3.0, 2.0), 0.9, 1.8, 6, [
         (0.0, 3.0, 2.0, "start"),
         (0.2784865077407188, 2.5840245534508886, 2.113148918158254, "claim"),
         (0.3571672543123278, 2.4189995792526346, 2.0976173624460572, "claim"),
@@ -603,21 +572,10 @@ def test_short_horizon_censors_below_the_line_and_in_the_payout_set(params):
         (1.374315826612064, 0.16028180108374807, 1.6557463790246267, "enter_payout"),
         (1.5345976276958122, 0.0, 1.8, "ruin"),
     ], id="table3-from-the-payout-set"),
-    # descends onto an attracting line, slides, drops below it and returns
-    pytest.param((10.0, 50.0), 0.5, 45.0, (5.0, 4.0), 8.0, 0, [
-        (0.0, 10.0, 50.0, "start"),
-        (0.5092376699805057, 8.825402915195347, 48.82540291519535, "claim"),
-        (4.093440096764919, 4.649228264512976, 44.64922826451297, "claim"),
-        (4.113081148007232, 4.55362511215192, 44.55362511215192, "claim"),
-        (5.3333729268258185, 3.333333333333333, 43.333333333333336, "reach_line_above"),
-        (5.661272376982106, 2.919811936507616, 42.844142832625394, "claim"),
-        (5.800462616806266, 3.476572895804255, 43.26171355209787, "enter_payout"),
-        (8.0, 3.8149632624494445, 43.09251836877528, "censored"),
-    ], id="sliding-above"),
 ])
-def test_traces_keep_their_bits(params, u, a, b, deltas, max_time, seed, expected):
-    bar = BarrierSpec(a, b, *deltas) if deltas else BarrierSpec.reflection(a, b, params)
-    assert trace_refracted_path(Reserves(*u), bar, params, seed, max_time) == expected
+def test_traces_keep_their_bits(params, u, a, b, seed, expected):
+    bar = BarrierSpec.reflection(a, b, params)
+    assert trace_refracted_path(Reserves(*u), bar, params, seed) == expected
 
 
 def test_seed_outside_the_key_range_is_rejected():
@@ -684,16 +642,30 @@ def test_barrier_start_outside_the_quadrant_is_rejected(params, barrier, u):
 
 
 def test_single_paths_check_the_barrier_like_the_estimator(params):
-    # delta1 < c1: company 1 grows while paying, which the estimator
-    # rejected and single paths and traces ran
-    bar, u = BarrierSpec(a=0.1, b=14.0, delta1=3.0, delta2=1.0), Reserves(1.0, 2.0)
-    match = "c1 - delta1 < 0 violated"
-    with pytest.raises(ParameterError, match=match):
-        estimate_barrier_moments(u, bar, params, SimConfig(n_paths=10, master_seed=1))
-    with pytest.raises(ParameterError, match=match):
-        simulate_refracted_path(u, bar, params, _path_rng(1, 0))
-    with pytest.raises(ParameterError, match=match):
-        trace_refracted_path(u, bar, params, seed=1)
+    # a barrier built for another model pays another rate: every route
+    # rejects it.  At c1 = 1e100, c1 + 1 rounds to c1 and company 1 stops
+    # draining while it pays: the simulator rejects the barrier, and the
+    # series fails numerically there, as it did before
+    u, cfg = Reserves(1.0, 2.0), SimConfig(n_paths=10, master_seed=1)
+    other = BarrierSpec.reflection(0.1, 14.0, dataclasses.replace(params, c1=5.0))
+    huge = dataclasses.replace(params, c1=1e100)
+    huge_bar = BarrierSpec.reflection(0.1, 14.0, huge)
+    for model, bar, match in (
+        (params, other, r"delta0 = \(c1 \+ 1\) \+ \(c2 - a\) violated \(8\.9 != 7\.9\)"),
+        (huge, huge_bar,
+         r"c1 - \(c1 \+ 1\) < 0 violated \(1e\+100 - 1e\+100\); company 1 must drain"),
+    ):
+        with pytest.raises(ParameterError, match=match):
+            estimate_barrier_moments(u, bar, model, cfg)
+        with pytest.raises(ParameterError, match=match):
+            simulate_refracted_path(u, bar, model, _path_rng(1, 0))
+        with pytest.raises(ParameterError, match=match):
+            trace_refracted_path(u, bar, model, seed=1)
+    for value in (partial(v1_barrier, u), build_sequences):
+        with pytest.raises(ParameterError, match="delta0 = .* violated"):
+            value(other, params)
+        with pytest.raises(NonConvergenceError):
+            value(huge_bar, huge)
 
 
 @pytest.mark.parametrize("counter, key, expected", [
