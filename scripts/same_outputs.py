@@ -87,6 +87,11 @@ COMMANDS = [
                                  "--u2", "0.2", "--a", "0.9", "--b", "1.8", "--trace", "path.csv"]),
     ("simulate-barrier-horizon", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "1",
                                   "--u2", "2", "--a", "0.1", "--b", "14", "--max-time", "3"]),
+    # a horizon that censors 17,647 of the 20,000 paths, below the line and
+    # in the payout set
+    ("simulate-barrier-table3-horizon", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "0.4",
+                                         "--u2", "0.6", "--a", "0.9", "--b", "1.8",
+                                         "--max-time", "0.5"]),
     # error paths: a horizon at t = 0, rejected before the trace is written,
     # and a horizon given to impulse paths, which have none
     ("simulate-barrier-horizon0", ["simulate", "barrier", *_SIM, "--seed", "7", "--u1", "1",

@@ -18,18 +18,19 @@ estimate is a pure function of the seed.
 Barrier paths run through one NumPy kernel that moves a block of paths in
 lockstep, one inter-claim interval at a time, and impulse paths through
 another; one driver feeds both the same chunks.  The barrier kernel
-takes one pass per inter-claim interval: it moves the rows below the line
-first and then, in the same pass, the rows in the payout set with those
-that reached the line, under the payout drift ``(c1 + 1, c2 - a)``
+takes one masked pass over the block's arrays per interval: it moves the
+rows below the line first and then the rows in the payout set with those
+that reached the line, under the payout drift ``(c1 + 1, c2 - a)``, each
+step computed on every row and kept on the rows it moves
 (``_barrier_kernel`` says why no row's bits depend on which rows share
-its pass).  A block's first chunk is about
-one fill slice of counters (8,192 paths start on 1 column, 1,024 on 8,
-128 or fewer on 64); paths still running when their columns run out
-resume on the next chunk, drawn for them alone and twice as wide (up to
-64 columns).
+its pass).  A block's first chunk is about one fill slice of counters
+(8,192 paths start on 1 column, 1,024 on 8, 128 or fewer on 64); paths
+still running when their columns run out resume on the next chunk, drawn
+for them alone and half as wide again (up to 64 columns).
 A single path is a block of one, so estimates, single-path calls and
 traces share every operation.  Both kernels drop finished paths from
-their arrays in batches, padded to a multiple of ``_LANES`` rows.
+their arrays once an eighth of the rows has finished, padded to a
+multiple of ``_LANES`` rows.
 ``_run_chunks`` fills at most ``_MAX_PATH_COLUMNS`` columns a path and
 censors the paths still running then, with their payout and time so far:
 the one guard against a path that never ends.  Barrier paths ruin or
@@ -78,7 +79,7 @@ import operator
 import os
 from contextlib import closing
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -354,23 +355,18 @@ def _rows_to_keep(alive: np.ndarray, finished: int, end: bool) -> np.ndarray | N
     ``alive`` marks, after ``finished`` paths finished since the last
     compaction; None to keep them all for now.
 
-    Finished paths are compacted away in batches of ``_LANES``, and the
+    Finished paths are compacted away once an eighth of the rows, and at
+    least ``_LANES``, have finished since the last compaction, and the
     rows kept are padded to a multiple of ``_LANES`` with copies of a running
     row (not alive), so that NumPy, which caches freed buffers under
     1 KiB by size, sees few distinct sizes.  At the ``end`` of a chunk the
     rows kept are exactly the running ones.
     """
-    if not (end or finished >= _LANES or alive.size % _LANES):
+    if not (end or finished >= max(_LANES, alive.size >> 3) or alive.size % _LANES):
         return None
     keep = np.flatnonzero(alive)
-    return keep if end else _padded(keep)
-
-
-def _padded(rows: np.ndarray) -> np.ndarray:
-    """``rows`` followed by copies of its first entry, to a multiple of
-    ``_LANES`` entries."""
-    pad = -rows.size % _LANES
-    return np.concatenate((rows, np.full(pad, rows[0]))) if pad else rows
+    pad = -keep.size % _LANES
+    return np.concatenate((keep, np.full(pad, keep[0]))) if pad and not end else keep
 
 
 class _BarrierBlock(_Block):
@@ -400,21 +396,21 @@ def _barrier_kernel(
     finished with their D, sigma and end code; the others stay
     ``_RUNNING``.
 
-    Paths move in lockstep, one inter-claim interval at a time.  Within an
-    interval each path takes flow segments, each advanced to the earliest
-    of: claim, barrier hit, axis crossing, or the horizon.  A claim
+    Paths move in lockstep, one inter-claim interval at a time, each
+    column in one pass over the block's arrays.  The rows below the line
+    move first, under the premium drift alone, to the line, the claim or
+    past the horizon (censored).  Rows that reach the line with time left
+    join the rows in the payout set, which move under the payout drift
+    ``(c1 + 1, c2 - a)`` (velocity ``(-1, a)``, along the line from a row
+    on it) to the claim, an axis crossing (ruin) or the horizon.  A claim
     landing exactly on a crossing time is processed first (the region is
-    re-evaluated after the jump).  Every operation is elementwise, so a
-    path's result does not depend on which block it runs in, nor on how
-    its columns are split into chunks.
+    re-evaluated after the jump).
 
-    One pass over the rows in the interval moves the rows below the line
-    first, under the premium drift alone, to the line, the claim or past
-    the horizon (censored).  Rows that reach the line with time left join
-    the rows in the payout set, and the payout step moves those rows only,
-    in the same pass, under the payout drift ``(c1 + 1, c2 - a)``
-    (velocity ``(-1, a)``, along the line from a row on it) to the claim,
-    an axis crossing (ruin) or the horizon.
+    Each step is computed on every row and kept only on the rows it moves:
+    by ``np.where``, or by a step of -0.0 on the others, which leaves their
+    values as they are.  Every operation is elementwise, so a path's
+    result does not depend on which rows share its pass, which block it
+    runs in, or how its columns are split into chunks.
 
     ``trace`` (a list, blocks of one path only) receives the event rows
     (t, y1, y2, code) of that path after its start row.
@@ -426,9 +422,13 @@ def _barrier_kernel(
     v2b = c2 - (c2 - a)
     approach = c2 + a * c1  # growth of y2 - (b - a*y1) below the line; always positive
 
-    def note(mask, code, t, y1, y2):
+    def note(mask, code):
         if trace is not None and np.any(mask):
             trace.append((float(t[0]), float(y1[0]), float(y2[0]), code))
+
+    def finish(idx, end):
+        block.finish(live[idx], D[idx], t[idx], end)
+        alive[idx] = False
 
     # state of the running paths and their rows in ts/xs; a row that is not
     # alive has finished or pads the arrays until the next compaction
@@ -436,75 +436,64 @@ def _barrier_kernel(
     rows = np.arange(live.size)
     alive = np.ones(live.size, dtype=bool)
     running = live.size  # running paths at the last compaction
-
-    def finish(pos, fin, end):
-        sel = pos[fin]
-        if sel.size:
-            block.finish(live[sel], D[sel], t[sel], end if np.isscalar(end) else end[fin])
-            alive[sel] = False
-
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(ts.shape[1]):
-            rem = ts[rows, k]
-            # the rows in the interval, by region, each set padded to a
-            # multiple of _LANES with copies that compute and write alike.
-            # One pass uses up the interval: a row below the line stops at its
-            # claim, the horizon or the line, and a row that pays stops at its
-            # claim unless it ruins or is censored first
-            pos = np.flatnonzero(alive & (rem > 0.0))
-            n = pos.size
-            pos = _padded(pos)
-            below = (y2[pos] - (b - a * y1[pos]) < -tol)[:n]
-            low, pos = pos[:n][below], pos[:n][~below]
-            if low.size:
-                # below the line: premium drift toward it, no payout, no ruin
-                n = low.size
-                low = _padded(low)
-                Y1, Y2, T, R = y1[low], y2[low], t[low], rem[low]
-                t_hit = -(Y2 - (b - a * Y1)) / approach
-                hit = t_hit < R
-                dt = np.where(hit, t_hit, R)
-                Y1 = Y1 + c1 * dt
-                Y2 = np.where(hit, b - a * Y1, Y2 + c2 * dt)
-                T, R = T + dt, R - dt
-                y1[low], y2[low], t[low], rem[low] = Y1, Y2, T, R
-                censored = T >= max_time
-                note(hit, 1, T, Y1, Y2)
-                note(censored, 5, T, Y1, Y2)
-                finish(low, censored, _CENSORED)
-                # a hit leaves time (t_hit < R) and y2 = b - a*y1 exactly
-                pos = np.concatenate((pos, low[:n][(hit & ~censored)[:n]]))
-            if pos.size:
-                # in the payout set: the payout drift
-                pos = _padded(pos)
-                Y1, Y2, T, A = y1[pos], y2[pos], t[pos], D[pos]
-                dt = rem[pos]
-                kind = np.full(pos.size, _RUNNING, dtype=np.int8)
-                for end, w, y in ((_RUIN_C1, v1b, Y1), (_RUIN_C2, v2b, Y2)):
-                    if w < 0.0:  # a drift that is not negative crosses no axis
-                        tt = y / -w
-                        earlier = tt < dt
-                        dt = np.where(earlier, tt, dt)
-                        kind[earlier] = end  # this company's axis crossing
-                late = T + dt > max_time
-                dt = np.where(late, max_time - T, dt)
-                kind[late] = _CENSORED
-                A = A + d0 * (np.exp(-q * T) - np.exp(-q * (T + dt))) / q
-                Y1, Y2, T = Y1 + v1b * dt, Y2 + v2b * dt, T + dt
-                y1[pos], y2[pos], t[pos], D[pos] = Y1, Y2, T, A
-                ended = kind > _RUNNING
-                note(ended & (kind != _CENSORED), 4, T, Y1, Y2)
-                note(kind == _CENSORED, 5, T, Y1, Y2)
-                finish(pos, ended, kind)
+            rem = ts[:, k][rows]
+            act = alive & (rem > 0.0)
+            # below the line: premium drift toward it, no payout, no ruin, to
+            # the line, the claim or past the horizon (censored).  The other
+            # rows step by -0.0, which leaves y1, y2, t and rem as they are
+            gap = y2 - (b - a * y1)
+            below = act & (gap < -tol)
+            t_hit = gap / -approach
+            hit = below & (t_hit < rem)
+            dt = np.where(below, np.minimum(t_hit, rem), -0.0)
+            y1 = y1 + c1 * dt
+            y2 = np.where(hit, b - a * y1, y2 + c2 * dt)
+            t, rem = t + dt, rem - dt
+            censored = below & (t >= max_time)
+            note(hit, 1)
+            if censored.any():
+                note(censored, 5)
+                finish(np.flatnonzero(censored), _CENSORED)
+            # in the payout set, with the rows that reached the line (leaving
+            # time, as t_hit < rem, and y2 = b - a*y1 exactly): the payout
+            # drift to the claim, an axis crossing (ruin) or the horizon, so
+            # that one pass uses up the interval of every row that goes on
+            pay = act & ~censored & (~below | hit)
+            dt, ends = rem, []
+            for end, w, y in ((_RUIN_C1, v1b, y1), (_RUIN_C2, v2b, y2)):
+                if w < 0.0:  # a drift that is not negative crosses no axis
+                    tt = y / -w
+                    ends.append((tt < dt, end))  # this company's axis crossing
+                    dt = np.minimum(tt, dt)
+            late = t + dt > max_time
+            ends.append((late, _CENSORED))
+            # the other rows step by -0.0, which leaves t and D as they are
+            dt = np.where(pay, np.where(late, max_time - t, dt), -0.0)
+            tn = t + dt
+            D = D + d0 * (np.exp(-q * t) - np.exp(-q * tn)) / q
+            y1, y2, t = np.where(pay, y1 + v1b * dt, y1), np.where(pay, y2 + v2b * dt, y2), tn
+            ended = pay & reduce(operator.or_, (m for m, _ in ends))
+            if ended.any():
+                note(ended & ~late, 4)
+                note(ended & late, 5)
+                idx = np.flatnonzero(ended)
+                kind = np.zeros(idx.size, dtype=np.int8)
+                for m, end in ends:
+                    kind[m[idx]] = end
+                finish(idx, kind)
             if not alive.any():
                 break
-            x = xs[rows, k]
+            x = xs[:, k][rows]
             y1 -= x
             y2 -= x
-            note(True, 3, t, y1, y2)
+            note(True, 3)
             ruined = alive & ((y1 < 0.0) | (y2 < 0.0))
-            note(ruined, 4, t, y1, y2)
-            finish(np.arange(live.size), ruined, np.where(y1 < 0.0, _RUIN_C1, _RUIN_C2))
+            if ruined.any():
+                note(ruined, 4)
+                idx = np.flatnonzero(ruined)
+                finish(idx, np.where(y1[idx] < 0.0, _RUIN_C1, _RUIN_C2))
             still = int(np.count_nonzero(alive))
             keep = _rows_to_keep(alive, running - still, False)
             if keep is not None:
@@ -520,10 +509,10 @@ def _run_chunks(kernel, block: _Block, params: ModelParams, master_seed: int,
     """``block``, the block of paths ``paths``, finished: run by
     ``kernel(ts, xs, block)`` on chunks drawn for its running paths alone,
     the first ``_FILL_COUNTERS // len(paths)`` wide (1 to ``_MAX_COLUMNS``),
-    then twice as wide each time, up to ``_MAX_COLUMNS``.  The last chunk
-    ends at column ``_MAX_PATH_COLUMNS``, after which the paths still
-    running are censored with their payout and time so far; they stay in
-    ``block.live``."""
+    then half as wide again each time (at least one column wider), up to
+    ``_MAX_COLUMNS``.  The last chunk ends at column ``_MAX_PATH_COLUMNS``,
+    after which the paths still running are censored with their payout and
+    time so far; they stay in ``block.live``."""
     width = min(max(_FILL_COUNTERS // paths.size, 1), _MAX_COLUMNS)
     while block.live.size and block.columns < _MAX_PATH_COLUMNS:
         width = min(width, _MAX_PATH_COLUMNS - block.columns)
@@ -531,7 +520,7 @@ def _run_chunks(kernel, block: _Block, params: ModelParams, master_seed: int,
         _fill_streams(master_seed, paths[block.live], params, ts, xs, block.columns)
         block = kernel(ts, xs, block)
         block.columns += width
-        width = min(2 * width, _MAX_COLUMNS)
+        width = min(max(width + 1, int(1.5 * width)), _MAX_COLUMNS)
     block.finish(block.live, block.paid, block.t, _CENSORED)
     return block
 

@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import math
 import os
+import random
 import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -451,31 +452,75 @@ def _fills(monkeypatch) -> list[tuple[int, int]]:
     return fills
 
 
-@pytest.mark.parametrize("n, first", [(8192, 1), (1024, 8), (128, 64), (1, 64)])
-def test_a_blocks_first_chunk_draws_about_one_fill_slice(params, barrier, monkeypatch, n, first):
+@pytest.mark.parametrize("n, widths", [
+    pytest.param(n, widths, id=f"{n}-{widths[0]}")
+    for n, widths in ((8192, [1, 2, 3, 4, 6, 9, 13, 19, 28]), (1024, [8, 12, 18, 27]), (128, [64]),
+                      (1, [64]))
+])
+def test_a_blocks_first_chunk_draws_about_one_fill_slice(params, barrier, monkeypatch, n, widths):
     # at the table-1 argmax a path reads about 25 columns, so every block
-    # runs on chunks that double from the first up to _MAX_COLUMNS
+    # runs on chunks that grow by half from the first up to _MAX_COLUMNS
     fills = _fills(monkeypatch)
     horizon = default_max_time(params, barrier.delta0)
     simulate._barrier_paths(Reserves(1.0, 2.0), barrier, params, horizon, 3, np.arange(n))
-    widths = [columns for _, columns in fills]
-    assert widths[0] == first
-    assert widths[1:] == [min(first << k, _MAX_COLUMNS) for k in range(1, len(widths))]
-    assert fills[0][0] == n and widths[-1] == _MAX_COLUMNS
+    assert [columns for _, columns in fills] == widths
+    assert fills[0][0] == n and max(widths) <= _MAX_COLUMNS
+    if n == 8192:  # 31.60 columns a path; chunks that doubled drew 36.65
+        assert sum(rows * columns for rows, columns in fills) <= 32 * n
 
 
 def test_a_short_path_block_draws_under_two_columns_a_path(params, monkeypatch):
     """At the table-3 barrier from (0.4, 0.6) one block of 8,192 paths
-    (seed 2024) fills 15,546 columns, on chunks of 1, 2 and 4 columns:
-    31,092 draws (a wait and a claim each), 1.90 columns a path.  A fixed
-    first chunk of 8 columns, which no path outlives, drew 131,072, 8
-    columns a path."""
+    (seed 2024) fills 15,337 columns, on chunks of 1, 2, 3 and 4 columns:
+    30,674 draws (a wait and a claim each), 1.87 columns a path.  Chunks
+    that doubled (1, 2 and 4 columns) drew 31,092, and a fixed first chunk
+    of 8 columns, which no path outlives, 131,072, 8 columns a path."""
     fills = _fills(monkeypatch)
     bar = BarrierSpec.reflection(0.9, 1.8, params)
     horizon = default_max_time(params, bar.delta0)
     simulate._barrier_paths(Reserves(0.4, 0.6), bar, params, horizon, 2024, np.arange(8192))
-    assert [columns for _, columns in fills] == [1, 2, 4]
-    assert sum(2 * rows * columns for rows, columns in fills) == 31_092
+    assert [columns for _, columns in fills] == [1, 2, 3, 4]
+    assert sum(2 * rows * columns for rows, columns in fills) == 30_674
+
+
+def _reflection_sets(n: int) -> list:
+    """``n`` seeded (u, a, b, horizon) sets at the benchmark parameters,
+    each starting below the line, on it or above it, with a default or a
+    short horizon."""
+    rng, sets = random.Random(3500), []
+    for i in range(n):
+        a, b = rng.uniform(0.05, 2.9), rng.uniform(1.0, 20.0)
+        u1 = rng.uniform(0.0, min(4.0, 0.9 * b / a))
+        line = b - a * u1
+        u2 = (rng.uniform(0.0, line), line, line + rng.uniform(0.1, 3.0))[i % 3]
+        sets.append(pytest.param((u1, u2), a, b, rng.choice((None, rng.uniform(0.2, 3.0))), 7,
+                                 id=f"random{i}-{('below', 'on', 'above')[i % 3]}"))
+    return sets
+
+
+@pytest.mark.parametrize("u, a, b, horizon, seed", [
+    *_reflection_sets(6),
+    # censors rows in the payout set (sigma == horizon) and below the line
+    # (sigma > horizon) in one column: 35 and 20 of them in column 1
+    pytest.param((0.4, 0.6), 0.9, 1.8, 0.3, 7, id="table3-horizon"),
+    # criterion 4's config 5, where company 2 alone ruins path 155
+    pytest.param((0.0, 0.2), 0.9, 1.8, None, 0, id="config5"),
+])
+def test_rows_sharing_a_pass_keep_single_path_bits(params, u, a, b, horizon, seed):
+    # a block moves every row in each masked pass; each of its paths must
+    # end as it does run alone, bit for bit
+    bar = BarrierSpec.reflection(a, b, params)
+    horizon = horizon or default_max_time(params, bar.delta0)
+    block = simulate._barrier_paths(Reserves(*u), bar, params, horizon, seed, np.arange(300))
+    alone = [simulate._barrier_paths(Reserves(*u), bar, params, horizon, seed, np.array([i]))
+             for i in range(300)]
+    for field in ("D", "sigma", "end"):
+        assert getattr(block, field).tolist() == [getattr(one, field)[0] for one in alone]
+    _, sigma, censored, cause = _outcomes(block)
+    if horizon == 0.3:
+        assert np.any(censored & (sigma == horizon)) and np.any(censored & (sigma > horizon))
+    if seed == 0:
+        assert np.flatnonzero(cause == _RUIN_C2).tolist() == [155]
 
 
 def test_trace_structure(params, barrier):
